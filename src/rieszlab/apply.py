@@ -159,14 +159,15 @@ class PVConfig:
             raise ValueError("rel_tol must be positive")
 
 
-def _angular_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Directions and surface-measure weights on the unit sphere."""
+def _angular_rule(n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Directions and surface-measure weights on the unit sphere; n = 2 uses
+    count equally spaced directions, n = 1 the two signs."""
     if n == 1:
         return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
     if n == 2:
-        theta = 2.0 * math.pi * (np.arange(_ANGULAR_NODES) + 0.5) / _ANGULAR_NODES
+        theta = 2.0 * math.pi * (np.arange(count) + 0.5) / count
         dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        weights = np.full(_ANGULAR_NODES, 2.0 * math.pi / _ANGULAR_NODES)
+        weights = np.full(count, 2.0 * math.pi / count)
         return dirs, weights
     raise NotImplementedError("polar shells are implemented for n <= 2")
 
@@ -226,11 +227,12 @@ def _weighted_kernel_sum(
 
 
 def _polar_nodes(
-    center: np.ndarray, r_lo: float, r_hi: float, n: int, order: int, geometric: bool
+    center: np.ndarray, radii: np.ndarray, w_r: np.ndarray, directions: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Polar quadrature nodes/log-weights for the shell r_lo < |y-center| < r_hi."""
-    radii, w_r = _radial_rule(r_lo, r_hi, order, geometric)
-    dirs, w_a = _angular_rule(n)
+    """Polar quadrature nodes/log-weights around center: the radial rule
+    (radii, w_r) times the angular rule with the given direction count."""
+    n = center.size
+    dirs, w_a = _angular_rule(n, directions)
     pts = center[None, None, :] + radii[:, None, None] * dirs[None, :, :]
     logw = (
         np.log(w_r[:, None]) + np.log(w_a[None, :]) + (n - 1) * np.log(radii[:, None])
@@ -248,7 +250,8 @@ def _shell_sum_log(
     order: int,
 ) -> LogScaled:
     """Integral of (mode weight) * kernel * f over the shell r_lo < |y-x| < r_hi."""
-    pts, logw = _polar_nodes(x, r_lo, r_hi, f.n, order, geometric=True)
+    radial = _radial_rule(r_lo, r_hi, order, geometric=True)
+    pts, logw = _polar_nodes(x, *radial, _ANGULAR_NODES)
     return _weighted_kernel_sum(alpha, f, x, pts, logw, mode)
 
 
@@ -264,7 +267,8 @@ def _support_sum_log(
     n = f.n
     c, rho = f.support_center, float(f.support_radius)
     if n <= 2:
-        pts, logw = _polar_nodes(c, 0.0, rho, n, order, geometric=False)
+        radial = _radial_rule(0.0, rho, order, geometric=False)
+        pts, logw = _polar_nodes(c, *radial, _ANGULAR_NODES)
         return _weighted_kernel_sum(alpha, f, x, pts, logw, mode)
     gl_nodes, gl_weights = np.polynomial.legendre.leggauss(order)
     axes = [c[j] + rho * gl_nodes for j in range(n)]

@@ -35,7 +35,6 @@ __all__ = [
     "riesz_integrand",
     "riesz_kernel",
     "riesz_kernel_batch",
-    "kernel_gradient",
 ]
 
 FORMS = ("direct", "factored")
@@ -263,18 +262,27 @@ def riesz_kernel_batch(
 
     Parameters
     ----------
-    X, Y : arrays of shape (m, n) with rows pairwise off-diagonal; the fixed
-        rule resolves separations down to about 1e-8.
+    X, Y : finite arrays of shape (m, n); a row with x == y, or a NaN or
+        inf entry, raises ValueError.
 
     Returns
     -------
-    (signs, logmags) arrays of shape (m,).  Agreement with the adaptive
-    scalar path is at quadrature tolerance; this path exists for sweeps.
+    (signs, logmags) arrays of shape (m,).  Against a 30-digit mpmath
+    quadrature of the same r-integral, on 48 seeded n = 2 pairs of orders
+    1-4 (`bench/oracle_pairs.json`), the error relative to the prefactor
+    times the integral of |integrand| is at most 1.2e-8 at separations of
+    1e-3 and above and 2.9e-7 down to 2.3e-4; below that the fixed rule is
+    unconverged, with 18 of 25 pairs off by more than 1e-6 and the worst
+    by 3.1e-4 (alpha (2,2) at separation 3.8e-5).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape != Y.shape or X.shape[1] != alpha.dim:
         raise ValueError("shape mismatch between alpha, X, Y")
+    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
+        raise ValueError("kernel needs finite X and Y")
+    if (X == Y).all(axis=1).any():
+        raise ValueError("kernel undefined on the diagonal")
     n, order = X.shape[1], alpha.order
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -303,38 +311,3 @@ def riesz_kernel_batch(
         signs[start : start + chunk] = sgn * pref.sign
         logmags[start : start + chunk] = lm + pref.logmag
     return signs, logmags
-
-
-def kernel_gradient(
-    alpha: MultiIndex,
-    x: np.ndarray,
-    y: np.ndarray,
-    fd_scale: float = 1e-4,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Central-difference kernel gradients in x and y.
-
-    Step scales with the separation, which is the only relevant length on
-    the near-diagonal region where this is used.  Values must be within
-    float range; that holds on the local region where |y|^2 - |x|^2 is
-    uniformly bounded.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = x.size
-    h = fd_scale * float(np.linalg.norm(x - y))
-    if h == 0.0:
-        raise ValueError("diagonal pair")
-    pairs_x, pairs_y = [], []
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = h
-        pairs_x.extend([(x + e, y), (x - e, y)])
-        pairs_y.extend([(x, y + e), (x, y - e)])
-    all_pairs = pairs_x + pairs_y
-    X = np.array([p[0] for p in all_pairs])
-    Y = np.array([p[1] for p in all_pairs])
-    signs, logmags = riesz_kernel_batch(alpha, X, Y)
-    vals = signs * np.exp(logmags)
-    gx = (vals[0 : 2 * n : 2] - vals[1 : 2 * n : 2]) / (2.0 * h)
-    gy = (vals[2 * n :: 2] - vals[2 * n + 1 :: 2]) / (2.0 * h)
-    return gx, gy

@@ -110,6 +110,25 @@ def split_kernel(
     return local, glob
 
 
+def _draw_pairs(
+    rng: np.random.Generator, n: int, count: int, draw
+) -> tuple[np.ndarray, np.ndarray]:
+    """(X, Y) rows of shape (count, n) from repeated draw(rng) -> (x, y), or
+    None for a rejected draw, kept in draw order.
+
+    Row k depends only on the draws before it, so the first rows of a larger
+    sample equal a smaller sample from the same seed.
+    """
+    X, Y = np.empty((count, n)), np.empty((count, n))
+    k = 0
+    while k < count:
+        pair = draw(rng)
+        if pair is not None:
+            X[k], Y[k] = pair
+            k += 1
+    return X, Y
+
+
 def sample_local_pairs(
     rng: np.random.Generator,
     n: int,
@@ -117,25 +136,25 @@ def sample_local_pairs(
     delta: float = 2.0,
     radius: float = 6.0,
     min_dist: float = 1e-5,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Seeded pairs inside the scale-delta local region.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded pair rows (X, Y) inside the scale-delta local region.
 
     Distances are drawn log-uniformly down to min_dist so samples crowd the
     near-diagonal where singular behaviour lives.  Prefixes of the returned
-    list are themselves valid (smaller) samples: doubling count extends
+    rows are themselves valid (smaller) samples: doubling count extends
     rather than reshuffles.
     """
-    pairs: list[tuple[np.ndarray, np.ndarray]] = []
-    while len(pairs) < count:
+
+    def draw(rng):
         x = rng.uniform(-radius, radius, size=n)
         cap = delta / (1.0 + 2.0 * np.linalg.norm(x) + 1.0)
         dist = math.exp(rng.uniform(math.log(min_dist), math.log(cap)))
         direction = rng.normal(size=n)
         direction /= np.linalg.norm(direction)
         y = x + dist * direction
-        if in_N(delta, x, y):
-            pairs.append((x, y))
-    return pairs
+        return (x, y) if in_N(delta, x, y) else None
+
+    return _draw_pairs(rng, n, count, draw)
 
 
 def sample_global_pairs(
@@ -143,14 +162,15 @@ def sample_global_pairs(
     n: int,
     count: int,
     radius: float = 8.0,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Seeded pairs in the global region (complement of the delta=1 set)."""
-    pairs: list[tuple[np.ndarray, np.ndarray]] = []
-    while len(pairs) < count:
+) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded pair rows (X, Y) in the global region (complement of the
+    delta=1 set), prefix-nested like the local sampler."""
+
+    def draw(rng):
         x = rng.uniform(-radius, radius, size=n)
         y = rng.uniform(-radius, radius, size=n)
-        if np.linalg.norm(x) < 1e-9:
-            continue
-        if not in_N(1.0, x, y):
-            pairs.append((x, y))
-    return pairs
+        if np.linalg.norm(x) < 1e-9 or in_N(1.0, x, y):
+            return None
+        return x, y
+
+    return _draw_pairs(rng, n, count, draw)

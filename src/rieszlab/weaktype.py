@@ -17,16 +17,17 @@ import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy import special
 
-from rieszlab.apply import GridFunction
+from rieszlab.apply import GridFunction, _polar_nodes
 from rieszlab.geometry import MultiIndex
 from rieszlab.kernels import riesz_kernel_batch
 from rieszlab.logscaled import LogScaled, signed_logsumexp
-from rieszlab.regions import sample_global_pairs, sample_local_pairs
+from rieszlab.regions import _draw_pairs, sample_global_pairs, sample_local_pairs
 
 __all__ = [
     "gamma_inv_ball_log",
@@ -425,30 +426,32 @@ class LemmaKernelSpec:
                 )
 
 
-def _polar_batch(x: np.ndarray, Y: np.ndarray):
-    """Per-row split of Y relative to the ray through x.
+def _row_dots(X: np.ndarray, Y: np.ndarray):
+    """Per-row |x|^2, x.y and |y|^2."""
+    return np.sum(X * X, axis=1), np.sum(X * Y, axis=1), np.sum(Y * Y, axis=1)
+
+
+def _polar_batch(X: np.ndarray, Y: np.ndarray):
+    """Per-row split of y relative to the ray through x, one x per row.
 
     Returns (r0, |y_perp|^2, sin(angle), |y|) with the convention that the
     angle is 0 at y = 0.
     """
-    x = np.asarray(x, dtype=float)
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    x2 = float(np.dot(x, x))
-    if x2 == 0.0:
+    x2, xy, y2 = _row_dots(X, Y)
+    if np.any(x2 == 0.0):
         raise ValueError("cannot decompose relative to x = 0")
-    xy = Y @ x
     r0 = xy / x2
-    yperp_sq = np.maximum(np.sum(Y * Y, axis=1) - r0 * r0 * x2, 0.0)
+    yperp_sq = np.maximum(y2 - r0 * r0 * x2, 0.0)
     y_norm = np.linalg.norm(Y, axis=1)
     sin_theta = np.where(y_norm > 0.0, np.sqrt(yperp_sq) / np.maximum(y_norm, 1e-300), 0.0)
     return r0, yperp_sq, sin_theta, y_norm
 
 
-def _log_min_growth_angular(n: int, x_norm: float, sin_theta: np.ndarray) -> np.ndarray:
+def _log_min_growth_angular(n: int, x_norm, sin_theta: np.ndarray) -> np.ndarray:
     """log of min((1+|x|)^n, (|x| sin(angle))^{-n})."""
-    grow = n * math.log1p(x_norm)
+    grow = n * np.log1p(x_norm)
     with np.errstate(divide="ignore"):
-        ang = -n * (math.log(x_norm) + np.log(sin_theta))
+        ang = -n * (np.log(x_norm) + np.log(sin_theta))
     return np.minimum(grow, ang)
 
 
@@ -457,20 +460,18 @@ _GL64 = np.polynomial.legendre.leggauss(64)
 
 
 def _first_half_integral_log(
-    n: int, a: int, x: np.ndarray, Y: np.ndarray
+    n: int, a: int, X: np.ndarray, Y: np.ndarray
 ) -> np.ndarray:
     """Bare integral over r in (0, 1/2): r^{n-1} |x - r y|^a e^{-|r x - y|^2}."""
     nodes, weights = _GL64
     r = 0.25 + 0.25 * nodes
     logw = np.log(0.25 * weights)
-    x2 = float(np.dot(x, x))
-    xy = Y @ x
-    y2 = np.sum(Y * Y, axis=1)
+    x2, xy, y2 = (v[:, None] for v in _row_dots(X, Y))
     # |rx - y|^2 and |x - ry|^2 expanded to avoid an (m, nodes, n) tensor
-    rxy = r[None, :] * r[None, :] * x2 - 2.0 * r[None, :] * xy[:, None] + y2[:, None]
+    rxy = r[None, :] * r[None, :] * x2 - 2.0 * r[None, :] * xy + y2
     terms = (n - 1) * np.log(r)[None, :] + logw[None, :] - rxy
     if a > 0:
-        xry = x2 - 2.0 * r[None, :] * xy[:, None] + r[None, :] * r[None, :] * y2[:, None]
+        xry = x2 - 2.0 * r[None, :] * xy + r[None, :] * r[None, :] * y2
         with np.errstate(divide="ignore"):
             terms = terms + 0.5 * a * np.log(np.maximum(xry, 0.0))
     _, lm = signed_logsumexp(terms, axis=1)
@@ -495,7 +496,7 @@ _U_NODES, _U_LOGW = _second_half_panels()
 
 
 def _second_half_integral_log(
-    n: int, a: int, x: np.ndarray, Y: np.ndarray, piece: str
+    n: int, a: int, X: np.ndarray, Y: np.ndarray, piece: str
 ) -> np.ndarray:
     """Bare integral over r in (1/2, 1) of the sharp-peak piece.
 
@@ -503,31 +504,28 @@ def _second_half_integral_log(
         |x - r y|^a * u^{-(n+a+2)/2} * exp(-c[(r - r0)^2 |x|^2 + |y_perp|^2]/u)
     restricted to the requested region of r relative to the peak at r0.
     """
-    x = np.asarray(x, dtype=float)
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    r0, yperp_sq, _, _ = _polar_batch(x, Y)
-    x2 = float(np.dot(x, x))
-    xy = Y @ x
-    y2 = np.sum(Y * Y, axis=1)
+    r0, yperp_sq, _, _ = _polar_batch(X, Y)
+    x2, xy, y2 = (v[:, None] for v in _row_dots(X, Y))
+    r0 = r0[:, None]
     u = _U_NODES
     r = 1.0 - u
-    xry = x2 - 2.0 * r[None, :] * xy[:, None] + r[None, :] * r[None, :] * y2[:, None]
     expo = (
         -_EXPONENT_C
-        * ((r[None, :] - r0[:, None]) ** 2 * x2 + yperp_sq[:, None])
+        * ((r[None, :] - r0) ** 2 * x2 + yperp_sq[:, None])
         / u[None, :]
     )
     terms = expo - 0.5 * (n + a + 2) * np.log(u)[None, :] + _U_LOGW[None, :]
     if a > 0:
+        xry = x2 - 2.0 * r[None, :] * xy + r[None, :] * r[None, :] * y2
         with np.errstate(divide="ignore"):
             terms = terms + 0.5 * a * np.log(np.maximum(xry, 0.0))
     if piece != "full":
-        below = r0[:, None] < 1.0
-        s = 1.0 - r0[:, None]
-        near = below & (np.abs(r[None, :] - r0[:, None]) < 0.5 * s)
+        below = r0 < 1.0
+        s = 1.0 - r0
+        near = below & (np.abs(r[None, :] - r0) < 0.5 * s)
         edge_lo = below & (u[None, :] <= 0.5 * s)
-        mid_lo = below & (r[None, :] < 0.5 * (3.0 * r0[:, None] - 1.0))
-        mid_hi = ~below & (u[None, :] > 1.5 * (r0[:, None] - 1.0))
+        mid_lo = below & (r[None, :] < 0.5 * (3.0 * r0 - 1.0))
+        mid_hi = ~below & (u[None, :] > 1.5 * (r0 - 1.0))
         edge_hi = ~below & ~mid_hi
         if piece == "near":
             mask = near
@@ -541,34 +539,35 @@ def _second_half_integral_log(
 
 
 def lemma_kernel_batch(spec: LemmaKernelSpec, x, Y) -> np.ndarray:
-    """log kernel values for one x against rows of Y (all kernels are >= 0)."""
-    x = np.asarray(x, dtype=float).reshape(spec.n)
+    """log kernel values for the pair rows (x, y) (all kernels are >= 0);
+    x is one point shared by every row of Y or one point per row."""
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if Y.shape[1] != spec.n:
         raise ValueError("Y has the wrong dimension")
+    X = np.broadcast_to(np.asarray(x, dtype=float), Y.shape)
     n = spec.n
-    x_norm = float(np.linalg.norm(x))
-    y2 = np.sum(Y * Y, axis=1)
-    base = -x_norm * x_norm + y2
     kid = spec.kernel_id
     if kid == "K1a":
-        return _first_half_integral_log(n, spec.a, x, Y)
+        return _first_half_integral_log(n, spec.a, X, Y)
     if kid == "K2a":
-        return _second_half_integral_log(n, spec.a, x, Y, spec.piece)
+        return _second_half_integral_log(n, spec.a, X, Y, spec.piece)
+    x_norm = np.linalg.norm(X, axis=1)
+    base = -x_norm * x_norm + np.sum(Y * Y, axis=1)
     if kid == "L42":
-        with np.errstate(divide="ignore"):
-            radial = -spec.mu * math.log(x_norm) if x_norm > 0 else math.inf
-        return base + radial - spec.nu * math.log1p(x_norm)
-    r0, yperp_sq, sin_theta, y_norm = _polar_batch(x, Y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            radial = np.where(x_norm > 0, -spec.mu * np.log(x_norm), np.inf)
+        return base + radial - spec.nu * np.log1p(x_norm)
+    r0, yperp_sq, sin_theta, y_norm = _polar_batch(X, Y)
+    log_x = np.log(x_norm)
     if kid == "L41":
         return base + _log_min_growth_angular(n, x_norm, sin_theta)
     if kid == "L43":
-        sep = np.linalg.norm(Y - x, axis=1)
+        sep = np.linalg.norm(Y - X, axis=1)
         in_global = sep * (1.0 + x_norm + y_norm) > 1.0
         mask = in_global & (y_norm <= 2.0 * x_norm)
         with np.errstate(divide="ignore"):
-            shape = (n - 1) * (np.log(y_norm) - math.log(x_norm)) if n > 1 else 0.0
-        vals = base - spec.delta * yperp_sq + math.log(x_norm) + shape
+            shape = (n - 1) * (np.log(y_norm) - log_x) if n > 1 else 0.0
+        vals = base - spec.delta * yperp_sq + log_x + shape
         return np.where(mask, vals, -np.inf)
     # L44: the collapsed-peak kernel on the aligned sector
     dpar = np.abs(1.0 - r0) * x_norm
@@ -577,7 +576,7 @@ def lemma_kernel_batch(spec: LemmaKernelSpec, x, Y) -> np.ndarray:
     with np.errstate(divide="ignore"):
         vals = (
             base
-            + 0.5 * (n + 1) * math.log(x_norm)
+            + 0.5 * (n + 1) * log_x
             - 0.5 * (n - 1) * np.log(dpar)
             - spec.delta * yperp_sq * x_norm / np.maximum(dpar, 1e-300)
         )
@@ -592,17 +591,16 @@ def lemma_kernel_eval(spec: LemmaKernelSpec, x, y) -> LogScaled:
     return LogScaled.from_log(lm, 1)
 
 
-def near_diagonal_profile_integral(
-    n: int, mu: float, nu: float, x, y
-) -> float:
-    """log of int_0^1 |x - r y|^nu (1 - r^2)^{-(n+mu)/2} e^{-|x-ry|^2/(1-r^2)} dr.
+def near_diagonal_profile_integral(n: int, mu: float, nu: float, X, Y) -> np.ndarray:
+    """log of int_0^1 |x - r y|^nu (1 - r^2)^{-(n+mu)/2} e^{-|x-ry|^2/(1-r^2)} dr
+    for each pair row (x, y).
 
     The r -> 1 end is resolved by geometric panels in u = 1 - r; the
     exponential factor keeps the integral finite whenever x != y.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    x2, y2, xy = float(x @ x), float(y @ y), float(x @ y)
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    x2, xy, y2 = (v[:, None] for v in _row_dots(X, Y))
 
     def chunk_log(r: np.ndarray, logw: np.ndarray) -> np.ndarray:
         xry = np.maximum(x2 - 2.0 * r * xy + r * r * y2, 0.0)
@@ -614,19 +612,17 @@ def near_diagonal_profile_integral(
         return terms
 
     nodes, weights = _GL64
-    r_lo = 0.25 + 0.25 * nodes
-    lo_terms = chunk_log(r_lo, np.log(0.25 * weights))
+    lo_terms = chunk_log(0.25 + 0.25 * nodes, np.log(0.25 * weights))
     hi_terms = chunk_log(1.0 - _U_NODES, _U_LOGW)
-    all_terms = np.concatenate([lo_terms, hi_terms])
-    _, lm = signed_logsumexp(all_terms[None, :], axis=1)
-    return float(lm[0])
+    _, lm = signed_logsumexp(np.concatenate([lo_terms, hi_terms], axis=1), axis=1)
+    return lm
 
 
 # --------------------------------------------------------------------------
 # sharp-peak building blocks of the kernel decomposition
 
 
-def _log_block_a(n: int, a: int, x_norm: float, r0, yperp_sq) -> np.ndarray:
+def _log_block_a(n: int, a: int, x_norm, r0, yperp_sq) -> np.ndarray:
     """log of the peak-window block
     (1-r0)^{-(n-a+1)/2} |x|^{a-1} e^{-c'|y_perp|^2/(1-r0)} min(1, |x| sqrt(1-r0))
     with the reduced block constant c'.
@@ -637,14 +633,14 @@ def _log_block_a(n: int, a: int, x_norm: float, r0, yperp_sq) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (
             -0.5 * (n - a + 1) * np.log(s)
-            + (a - 1) * math.log(x_norm)
+            + (a - 1) * np.log(x_norm)
             - _BLOCK_C * yperp_sq / s
-            + np.minimum(0.0, math.log(x_norm) + 0.5 * np.log(s))
+            + np.minimum(0.0, np.log(x_norm) + 0.5 * np.log(s))
         )
     return np.where(s > 0.0, out, -np.inf)
 
 
-def _log_block_b(n: int, a: int, x_norm: float, r0, yperp_sq) -> np.ndarray:
+def _log_block_b(n: int, a: int, x_norm, r0, yperp_sq) -> np.ndarray:
     """log of the perpendicular block
     (1-r0)^{-(n+a+2)/2} |y_perp|^a e^{-c'|y_perp|^2/(1-r0)}
         min(sqrt(1-r0)/|x|, 1-r0)
@@ -657,25 +653,27 @@ def _log_block_b(n: int, a: int, x_norm: float, r0, yperp_sq) -> np.ndarray:
         out = (
             -0.5 * (n + a + 2) * np.log(s)
             - _BLOCK_C * yperp_sq / s
-            + np.minimum(0.5 * np.log(s) - math.log(x_norm), np.log(s))
+            + np.minimum(0.5 * np.log(s) - np.log(x_norm), np.log(s))
         )
         if a > 0:
             out = out + 0.5 * a * np.log(yperp_sq)
     return np.where(s > 0.0, out, -np.inf)
 
 
-def window_gaussian_integral_log(x_norm: float, r0: float) -> float:
-    """log of int over |r - r0| < (1-r0)/2 of e^{-c |x|^2 (r-r0)^2/(1-r0)} dr.
+def window_gaussian_integral_log(x_norm, r0) -> np.ndarray:
+    """log of int over |r - r0| < (1-r0)/2 of e^{-c |x|^2 (r-r0)^2/(1-r0)} dr,
+    elementwise over arrays of |x| and r0.
 
     Closed form via the error function: sqrt(pi/q) erf(sqrt(q) h) with
     q = c|x|^2/(1-r0), h = (1-r0)/2.
     """
-    s = 1.0 - r0
-    if s <= 0.0 or x_norm <= 0.0:
+    x_norm = np.asarray(x_norm, dtype=float)
+    s = 1.0 - np.asarray(r0, dtype=float)
+    if np.any(s <= 0.0) or np.any(x_norm <= 0.0):
         raise ValueError("needs r0 < 1 and x != 0")
     q = _EXPONENT_C * x_norm * x_norm / s
-    z = math.sqrt(q) * 0.5 * s
-    return 0.5 * (_LOG_PI - math.log(q)) + math.log(float(special.erf(z)))
+    z = np.sqrt(q) * 0.5 * s
+    return 0.5 * (_LOG_PI - np.log(q)) + np.log(special.erf(z))
 
 
 # --------------------------------------------------------------------------
@@ -705,10 +703,15 @@ class SweepResult:
         return math.exp(self.log_max_ratio)
 
 
+# rows per target/bound call: keeps the (rows, 552) second-half temporaries
+# of the largest sweeps at a few MiB each
+_SWEEP_BLOCK = 1024
+
+
 def bound_ratio_sweep(
-    target_log: Callable,
-    bound_log: Callable,
-    sampler: Callable[[np.random.Generator, int], list],
+    target_log: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    bound_log: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    sampler: Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]],
     count: int,
     rng: np.random.Generator,
     key: str = "sweep",
@@ -716,21 +719,22 @@ def bound_ratio_sweep(
 ) -> SweepResult:
     """sup of target/bound over a seeded sample, with doubling stability.
 
-    target_log and bound_log map a sample pair (x, y) to log values; a -inf
-    target contributes ratio 0, a -inf bound with live target makes the
-    sweep unstable by fiat.
+    sampler(rng, m) returns pair rows (X, Y) of shape (m, n) whose first rows
+    equal a smaller draw from the same seed; 2*count rows are drawn.
+    target_log(X, Y) and bound_log(X, Y) map a block of rows to an array of
+    log values, one per row.  A -inf target contributes ratio 0, a -inf
+    bound with live target makes the sweep unstable by fiat.
     """
-    pairs = sampler(rng, 2 * count)
-    ratios = np.empty(len(pairs))
-    for i, (x, y) in enumerate(pairs):
-        t = float(target_log(x, y))
-        b = float(bound_log(x, y))
-        if t == -math.inf:
-            ratios[i] = -math.inf
-        elif b == -math.inf:
-            ratios[i] = math.inf
-        else:
-            ratios[i] = t - b
+    X, Y = sampler(rng, 2 * count)
+    ratios = np.empty(len(X))
+    for start in range(0, len(X), _SWEEP_BLOCK):
+        rows = slice(start, start + _SWEEP_BLOCK)
+        t = target_log(X[rows], Y[rows])
+        b = bound_log(X[rows], Y[rows])
+        with np.errstate(invalid="ignore"):
+            ratios[rows] = np.where(
+                t == -np.inf, -np.inf, np.where(b == -np.inf, np.inf, t - b)
+            )
     base = float(np.max(ratios[:count]))
     full = float(np.max(ratios))
     best = int(np.argmax(ratios))
@@ -743,41 +747,25 @@ def bound_ratio_sweep(
         log_max_ratio_base=base,
         rel_change=rel,
         stable=stable,
-        argmax=(np.asarray(pairs[best][0]).tolist(), np.asarray(pairs[best][1]).tolist()),
+        argmax=(X[best].tolist(), Y[best].tolist()),
     )
 
 
-def _sampler_far(n: int):
-    def sample(rng: np.random.Generator, count: int):
-        pairs = []
-        while len(pairs) < count:
-            x = rng.normal(size=n)
-            x *= math.exp(rng.uniform(math.log(0.3), math.log(6.0))) / np.linalg.norm(x)
-            d = rng.normal(size=n)
-            d /= np.linalg.norm(d)
-            y = d * rng.uniform(2.0, 4.0) * np.linalg.norm(x)
-            pairs.append((x, y))
-        return pairs
+def _sampler_shell(n: int, lo: float, hi: float):
+    """|x| log-uniform on [0.3, 6], y in a uniform direction with |y|/|x|
+    uniform on [lo, hi]."""
 
-    return sample
+    def draw(rng: np.random.Generator):
+        x = rng.normal(size=n)
+        x *= math.exp(rng.uniform(math.log(0.3), math.log(6.0))) / np.linalg.norm(x)
+        d = rng.normal(size=n)
+        d /= np.linalg.norm(d)
+        return x, d * rng.uniform(lo, hi) * np.linalg.norm(x)
 
-
-def _sampler_near(n: int):
-    def sample(rng: np.random.Generator, count: int):
-        pairs = []
-        while len(pairs) < count:
-            x = rng.normal(size=n)
-            x *= math.exp(rng.uniform(math.log(0.3), math.log(6.0))) / np.linalg.norm(x)
-            d = rng.normal(size=n)
-            d /= np.linalg.norm(d)
-            y = d * rng.uniform(0.05, 2.0) * np.linalg.norm(x)
-            pairs.append((x, y))
-        return pairs
-
-    return sample
+    return lambda rng, count: _draw_pairs(rng, n, count, draw)
 
 
-def _sampler_peak(n: int, r0_lo: float, r0_hi: float, require_global: bool = True):
+def _sampler_peak(n: int, r0_lo: float, r0_hi: float):
     """Pairs with the peak location r0 in a window, filtered to the global
     region.
 
@@ -790,61 +778,42 @@ def _sampler_peak(n: int, r0_lo: float, r0_hi: float, require_global: bool = Tru
     """
     spans_small = r0_lo < 1.0
 
-    def sample(rng: np.random.Generator, count: int):
-        pairs = []
-        while len(pairs) < count:
-            x = rng.normal(size=n)
-            x *= math.exp(rng.uniform(math.log(0.5), math.log(8.0))) / np.linalg.norm(x)
-            x_norm = float(np.linalg.norm(x))
-            mode = rng.integers(3) if spans_small else 0
-            if mode == 1:
-                gap = math.exp(rng.uniform(math.log(1e-7), math.log(0.5)))
-                side = 1.0 if (r0_hi > 1.0 and rng.uniform() < 0.5) else -1.0
-                r0 = 1.0 + side * gap
-                if not (r0_lo <= r0 <= r0_hi):
-                    continue
-            elif mode == 2:
-                u = math.exp(rng.uniform(math.log(1.0 / 32.0), math.log(32.0)))
-                r0 = 1.0 - u / (x_norm * x_norm)
-                if not (r0_lo <= r0 <= r0_hi):
-                    continue
-            else:
-                r0 = rng.uniform(r0_lo, r0_hi)
-            if rng.uniform() < 0.5 and r0 < 1.0:
-                scale = math.sqrt(max(1.0 - r0, 1e-12))
-            else:
-                scale = 1.0
-            if n > 1:
-                raw = rng.normal(size=n)
-                perp = raw - (raw @ x) / (x @ x) * x
-                norm = np.linalg.norm(perp)
-                if norm < 1e-12:
-                    continue
-                perp *= abs(rng.normal()) * scale / norm
-            else:
-                perp = np.zeros(1)
-            y = r0 * x + perp
-            sep = float(np.linalg.norm(x - y))
-            if require_global and sep * (1.0 + x_norm + np.linalg.norm(y)) <= 1.0:
-                continue
-            pairs.append((x, y))
-        return pairs
+    def draw(rng: np.random.Generator):
+        x = rng.normal(size=n)
+        x *= math.exp(rng.uniform(math.log(0.5), math.log(8.0))) / np.linalg.norm(x)
+        x_norm = float(np.linalg.norm(x))
+        mode = rng.integers(3) if spans_small else 0
+        if mode == 1:
+            gap = math.exp(rng.uniform(math.log(1e-7), math.log(0.5)))
+            side = 1.0 if (r0_hi > 1.0 and rng.uniform() < 0.5) else -1.0
+            r0 = 1.0 + side * gap
+        elif mode == 2:
+            u = math.exp(rng.uniform(math.log(1.0 / 32.0), math.log(32.0)))
+            r0 = 1.0 - u / (x_norm * x_norm)
+        else:
+            r0 = rng.uniform(r0_lo, r0_hi)
+        if not (r0_lo <= r0 <= r0_hi):
+            return None
+        if rng.uniform() < 0.5 and r0 < 1.0:
+            scale = math.sqrt(max(1.0 - r0, 1e-12))
+        else:
+            scale = 1.0
+        if n > 1:
+            raw = rng.normal(size=n)
+            perp = raw - (raw @ x) / (x @ x) * x
+            norm = np.linalg.norm(perp)
+            if norm < 1e-12:
+                return None
+            perp *= abs(rng.normal()) * scale / norm
+        else:
+            perp = np.zeros(1)
+        y = r0 * x + perp
+        sep = float(np.linalg.norm(x - y))
+        if sep * (1.0 + x_norm + np.linalg.norm(y)) <= 1.0:
+            return None
+        return x, y
 
-    return sample
-
-
-def _sampler_local(n: int):
-    def sample(rng: np.random.Generator, count: int):
-        return sample_local_pairs(rng, n, count)
-
-    return sample
-
-
-def _sampler_global(n: int, radius: float = 6.0):
-    def sample(rng: np.random.Generator, count: int):
-        return sample_global_pairs(rng, n, count, radius=radius)
-
-    return sample
+    return lambda rng, count: _draw_pairs(rng, n, count, draw)
 
 
 @dataclass(frozen=True)
@@ -869,386 +838,250 @@ def _combine_sub_results(key: str, subs: dict[str, SweepResult]) -> SweepResult:
     )
 
 
-def _a_loop_runner(
-    key, make_target, make_bound, make_sampler, a_values=(0, 1, 2), count_factor=1
-):
+def _sweep_runner(key: str, cases, count_factor: int = 1):
+    """Runner of one registry entry.
+
+    cases maps labels to (target_log, bound_log, sampler) and the entry
+    reports the worst case, with each case's maximum in detail; a bare
+    tuple is a single unlabeled case.  Case i draws count * count_factor
+    pairs from the seed stream [seed, i].
+    """
+    labeled = isinstance(cases, dict)
+    items = list(cases.items()) if labeled else [(None, cases)]
+
     def run(count: int, seed: int) -> SweepResult:
-        subs = {}
-        for i, a in enumerate(a_values):
-            rng = np.random.default_rng([seed, i])
-            subs[f"a={a}"] = bound_ratio_sweep(
-                make_target(a),
-                make_bound(a),
-                make_sampler(a),
+        subs = {
+            label: bound_ratio_sweep(
+                target,
+                bound,
+                sampler,
                 count * count_factor,
-                rng,
+                np.random.default_rng([seed, i]),
                 key=key,
             )
-        return _combine_sub_results(key, subs)
+            for i, (label, (target, bound, sampler)) in enumerate(items)
+        }
+        return _combine_sub_results(key, subs) if labeled else subs[None]
 
     return run
 
 
 def _build_registry() -> dict[str, SweepSpec]:
+    """The sweep registry on n = 2 pairs (local-integral adds n = 1).
+
+    Per-a entries are written as functions of (a, X, Y); every target and
+    bound evaluates a block of pair rows at once.
+    """
     n = 2
     entries: dict[str, SweepSpec] = {}
+    below = _sampler_peak(n, 1.0 / 3.0 + 1e-9, 1.0 - 1e-9)
+    around = _sampler_peak(n, 1.0 / 3.0 + 1e-9, 2.0)
+    cz_alpha, decomposed = MultiIndex.of(1, 1), MultiIndex.of(2, 1)
+    mu, nu = 3.0, 0.0
 
-    def add(key, description, runner):
+    def add(key, description, cases, count_factor=1):
+        runner = _sweep_runner(key, cases, count_factor)
         entries[key] = SweepSpec(key=key, description=description, runner=runner)
 
-    def k1(a):
-        return lambda x, y: _first_half_integral_log(n, a, x, np.atleast_2d(y))[0]
+    def per_a(target, bound, sampler, a_values=(0, 1, 2)):
+        return {
+            f"a={a}": (partial(target, a), partial(bound, a), sampler) for a in a_values
+        }
 
-    def k2(a, piece):
-        return lambda x, y: _second_half_integral_log(n, a, x, np.atleast_2d(y), piece)[0]
+    def norm(V):
+        return np.linalg.norm(V, axis=1)
 
-    def peak_stats(x, y):
-        r0, yp, st, _ = _polar_batch(x, np.atleast_2d(y))
-        return float(r0[0]), float(yp[0]), float(st[0])
+    def peak(X, Y):
+        r0, yp, st, _ = _polar_batch(X, Y)
+        return norm(X), r0, yp, st
+
+    def local(dim):
+        return lambda rng, count: sample_local_pairs(rng, dim, count)
+
+    def x_power(p):
+        return lambda a, X, Y: p * np.log(norm(X))
+
+    def separation_power(p):
+        return lambda X, Y: p * np.log(norm(X - Y))
+
+    def kernel_log(alpha):
+        return lambda X, Y: riesz_kernel_batch(alpha, X, Y)[1]
+
+    def first_half(a, X, Y):
+        return _first_half_integral_log(n, a, X, Y)
+
+    def second_half(piece):
+        return lambda a, X, Y: _second_half_integral_log(n, a, X, Y, piece)
+
+    def growth(a, X, Y):
+        return n * np.log1p(norm(X))
+
+    def angular(a, X, Y):
+        xn, _, _, st = peak(X, Y)
+        with np.errstate(divide="ignore"):
+            return -n * (np.log(xn) + np.log(st))
+
+    def growth_angular(a, X, Y):
+        xn, _, _, st = peak(X, Y)
+        return _log_min_growth_angular(n, xn, st)
+
+    def block_a(a, X, Y):
+        xn, r0, yp, _ = peak(X, Y)
+        return _log_block_a(n, a, xn, r0, yp)
+
+    def block_b(a, X, Y):
+        xn, r0, yp, _ = peak(X, Y)
+        return _log_block_b(n, a, xn, r0, yp)
+
+    def blocks_ab(a, X, Y):
+        return np.logaddexp(block_a(a, X, Y), block_b(a, X, Y))
+
+    def near_bound(a, X, Y):
+        xn, yn = norm(X), norm(Y)
+        _, yp, _, _ = _polar_batch(X, Y)
+        first = -yp + (a - 1) * np.log(xn) + (n - 1) * (np.log(yn) - np.log(xn))
+        return np.logaddexp(first, (a - n) * np.log(xn))
+
+    def block_a_short(a, X, Y):
+        xn, r0, _, _ = peak(X, Y)
+        return np.where(xn * xn * (1.0 - r0) > 1.0, -np.inf, block_a(a, X, Y))
+
+    def block_a_long(a, X, Y):
+        xn, r0, _, _ = peak(X, Y)
+        off = (xn * xn * (1.0 - r0) < 1.0) | (r0 < 1.0 / 3.0) | (r0 >= 1.0)
+        return np.where(off, -np.inf, block_a(a, X, Y))
+
+    def collapsed_peak(a, X, Y):
+        lm = lemma_kernel_batch(LemmaKernelSpec("L44", n=n, delta=_BLOCK_C), X, Y)
+        xn, yn = norm(X), norm(Y)
+        return lm + xn * xn - yn * yn
+
+    def window_integral(X, Y):
+        xn, r0, _, _ = peak(X, Y)
+        return window_gaussian_integral_log(xn, r0)
+
+    def window_bound(X, Y):
+        xn, r0, _, _ = peak(X, Y)
+        s = 1.0 - r0
+        return np.minimum(0.5 * np.log(s) - np.log(xn), np.log(s))
+
+    def decomposition_bound(X, Y):
+        xn, yn = norm(X), norm(Y)
+        parts = []
+        for a in range(decomposed.order + 1):
+            parts.append(_first_half_integral_log(n, a, X, Y))
+            parts.append(_second_half_integral_log(n, a, X, Y, "full"))
+        return -xn * xn + yn * yn + signed_logsumexp(np.stack(parts, axis=1), axis=1)[1]
+
+    def gradient_log(alpha):
+        return lambda X, Y: np.logaddexp(*_fd_gradient_logs(alpha, X, Y))
 
     add(
         "step1-far",
         "first-half integral against |x|^{1-n} when |y| >= 2|x|",
-        _a_loop_runner(
-            "step1-far",
-            lambda a: k1(a),
-            lambda a: lambda x, y: (1 - n) * math.log(np.linalg.norm(x)),
-            lambda a: _sampler_far(n),
-        ),
+        per_a(first_half, x_power(1 - n), _sampler_shell(n, 2.0, 4.0)),
     )
-
-    def near_bound(a):
-        def bound(x, y):
-            xn = float(np.linalg.norm(x))
-            yn = float(np.linalg.norm(y))
-            _, yp, _, _ = _polar_batch(x, np.atleast_2d(y))
-            first = -yp[0] + (a - 1) * math.log(xn) + (n - 1) * (math.log(yn) - math.log(xn))
-            second = (a - n) * math.log(xn)
-            return float(np.logaddexp(first, second))
-
-        return bound
-
     add(
         "step1-near",
         "first-half integral against its two-term comparison when |y| < 2|x|",
-        _a_loop_runner(
-            "step1-near",
-            lambda a: k1(a),
-            near_bound,
-            lambda a: _sampler_near(n),
-            count_factor=4,
-        ),
+        per_a(first_half, near_bound, _sampler_shell(n, 0.05, 2.0)),
+        count_factor=4,
     )
     add(
         "case-2.1",
         "second-half integral against |x|^{-n} when the peak sits at r0 <= 1/3",
-        _a_loop_runner(
-            "case-2.1",
-            lambda a: k2(a, "full"),
-            lambda a: lambda x, y: -n * math.log(np.linalg.norm(x)),
-            lambda a: _sampler_peak(n, 0.02, 1.0 / 3.0),
-        ),
+        per_a(second_half("full"), x_power(-n), _sampler_peak(n, 0.02, 1.0 / 3.0)),
     )
     add(
         "case-2.2",
         "second-half integral against |x|^{-n} when the peak sits at r0 >= 2",
-        _a_loop_runner(
-            "case-2.2",
-            lambda a: k2(a, "full"),
-            lambda a: lambda x, y: -n * math.log(np.linalg.norm(x)),
-            lambda a: _sampler_peak(n, 2.0, 4.0),
-            count_factor=16,
-        ),
+        per_a(second_half("full"), x_power(-n), _sampler_peak(n, 2.0, 4.0)),
+        count_factor=16,
     )
-
-    def ab_bound(a):
-        def bound(x, y):
-            xn = float(np.linalg.norm(x))
-            r0, yp, _ = peak_stats(x, y)
-            return float(
-                np.logaddexp(
-                    _log_block_a(n, a, xn, np.array([r0]), np.array([yp]))[0],
-                    _log_block_b(n, a, xn, np.array([r0]), np.array([yp]))[0],
-                )
-            )
-
-        return bound
-
     add(
         "case-2.3.1",
         "peak-window part of the second-half integral against block A + block B",
-        _a_loop_runner(
-            "case-2.3.1",
-            lambda a: k2(a, "near"),
-            ab_bound,
-            lambda a: _sampler_peak(n, 1.0 / 3.0 + 1e-9, 1.0 - 1e-9),
-        ),
+        per_a(second_half("near"), blocks_ab, below),
     )
-
-    def angular_bound(x, y):
-        _, _, st = peak_stats(x, y)
-        return float(_log_min_growth_angular(n, float(np.linalg.norm(x)), np.array([st]))[0])
-
     add(
         "case-2.3.2",
         "pre-peak part of the second-half integral against growth/angular min",
-        _a_loop_runner(
-            "case-2.3.2",
-            lambda a: k2(a, "mid"),
-            lambda a: angular_bound,
-            lambda a: _sampler_peak(n, 1.0 / 3.0 + 1e-9, 2.0),
-            count_factor=4,
-        ),
+        per_a(second_half("mid"), growth_angular, around),
+        count_factor=4,
     )
     add(
         "case-2.3.3",
         "endpoint part of the second-half integral against growth/angular min",
-        _a_loop_runner(
-            "case-2.3.3",
-            lambda a: k2(a, "edge"),
-            lambda a: angular_bound,
-            lambda a: _sampler_peak(n, 1.0 / 3.0 + 1e-9, 2.0),
-            count_factor=4,
-        ),
+        per_a(second_half("edge"), growth_angular, around),
+        count_factor=4,
     )
-
-    def block_a_target(a):
-        def target(x, y):
-            r0, yp, _ = peak_stats(x, y)
-            return float(_log_block_a(n, a, float(np.linalg.norm(x)), np.array([r0]), np.array([yp]))[0])
-
-        return target
-
-    def block_b_target(a):
-        def target(x, y):
-            r0, yp, _ = peak_stats(x, y)
-            return float(_log_block_b(n, a, float(np.linalg.norm(x)), np.array([r0]), np.array([yp]))[0])
-
-        return target
-
-    add(
-        "A-growth",
-        "block A against (1+|x|)^n",
-        _a_loop_runner(
-            "A-growth",
-            block_a_target,
-            lambda a: lambda x, y: n * math.log1p(np.linalg.norm(x)),
-            lambda a: _sampler_peak(n, 1.0 / 3.0 + 1e-9, 1.0 - 1e-9),
-        ),
-    )
-
-    def angular_only(x, y):
-        _, _, st = peak_stats(x, y)
-        xn = float(np.linalg.norm(x))
-        with np.errstate(divide="ignore"):
-            return float(-n * (math.log(xn) + np.log(st)))
-
+    add("A-growth", "block A against (1+|x|)^n", per_a(block_a, growth, below))
     add(
         "A10",
         "block A at a = 0 against the angular comparison",
-        _a_loop_runner(
-            "A10",
-            block_a_target,
-            lambda a: angular_only,
-            lambda a: _sampler_peak(n, 1.0 / 3.0 + 1e-9, 1.0 - 1e-9),
-            a_values=(0,),
-        ),
+        per_a(block_a, angular, below, a_values=(0,)),
     )
     add(
         "A11",
         "block A at a = 1 against the angular comparison",
-        _a_loop_runner(
-            "A11",
-            block_a_target,
-            lambda a: angular_only,
-            lambda a: _sampler_peak(n, 1.0 / 3.0 + 1e-9, 1.0 - 1e-9),
-            a_values=(1,),
-        ),
+        per_a(block_a, angular, below, a_values=(1,)),
     )
-
-    def block_a2_small(x, y):
-        r0, yp, _ = peak_stats(x, y)
-        xn = float(np.linalg.norm(x))
-        if xn * xn * (1.0 - r0) > 1.0:
-            return -math.inf
-        return float(_log_block_a(n, 2, xn, np.array([r0]), np.array([yp]))[0])
-
     add(
         "A2-small",
         "block A at a = 2 on the short-range sector against the angular comparison",
-        _a_loop_runner(
-            "A2-small",
-            lambda a: block_a2_small,
-            lambda a: angular_only,
-            lambda a: _sampler_peak(n, 1.0 / 3.0 + 1e-9, 1.0 - 1e-9),
-            a_values=(2,),
-        ),
+        per_a(block_a_short, angular, below, a_values=(2,)),
     )
-
-    def block_a2_large(x, y):
-        r0, yp, _ = peak_stats(x, y)
-        xn = float(np.linalg.norm(x))
-        if xn * xn * (1.0 - r0) < 1.0 or not (1.0 / 3.0 <= r0 < 1.0):
-            return -math.inf
-        return float(_log_block_a(n, 2, xn, np.array([r0]), np.array([yp]))[0])
-
-    def collapsed_peak_bound(x, y):
-        spec = LemmaKernelSpec("L44", n=n, delta=_BLOCK_C)
-        lm = float(lemma_kernel_batch(spec, x, np.atleast_2d(y))[0])
-        if lm == -math.inf:
-            return -math.inf
-        xn = float(np.linalg.norm(x))
-        yn = float(np.linalg.norm(np.atleast_1d(y)))
-        return lm + xn * xn - yn * yn
-
     add(
         "A2-large",
         "block A at a = 2 on the long-range sector against the collapsed-peak kernel",
-        _a_loop_runner(
-            "A2-large",
-            lambda a: block_a2_large,
-            lambda a: collapsed_peak_bound,
-            lambda a: _sampler_peak(n, 1.0 / 3.0 + 1e-9, 1.0 - 1e-9),
-            a_values=(2,),
-        ),
+        per_a(block_a_long, collapsed_peak, below, a_values=(2,)),
     )
     add(
         "B-growth",
         "block B against (1+|x|)^n",
-        _a_loop_runner(
-            "B-growth",
-            block_b_target,
-            lambda a: lambda x, y: n * math.log1p(np.linalg.norm(x)),
-            lambda a: _sampler_peak(n, 1.0 / 3.0 + 1e-9, 1.0 - 1e-9),
-            count_factor=16,
-        ),
+        per_a(block_b, growth, below),
+        count_factor=16,
     )
     add(
         "B-angular",
         "block B against the angular comparison",
-        _a_loop_runner(
-            "B-angular",
-            block_b_target,
-            lambda a: angular_only,
-            lambda a: _sampler_peak(n, 1.0 / 3.0 + 1e-9, 1.0 - 1e-9),
-        ),
+        per_a(block_b, angular, below),
     )
-
-    def stim_target(x, y):
-        r0, _, _ = peak_stats(x, y)
-        return window_gaussian_integral_log(float(np.linalg.norm(x)), r0)
-
-    def stim_bound(x, y):
-        r0, _, _ = peak_stats(x, y)
-        s = 1.0 - r0
-        xn = float(np.linalg.norm(x))
-        return min(0.5 * math.log(s) - math.log(xn), math.log(s))
-
-    def stim_runner(count: int, seed: int) -> SweepResult:
-        rng = np.random.default_rng([seed, 0])
-        return bound_ratio_sweep(
-            stim_target,
-            stim_bound,
-            _sampler_peak(n, 1.0 / 3.0 + 1e-9, 1.0 - 1e-9),
-            count,
-            rng,
-            key="stimaint",
-        )
-
     add(
         "stimaint",
         "peak-window Gaussian integral against min(sqrt(1-r0)/|x|, 1-r0)",
-        stim_runner,
+        (window_integral, window_bound, below),
     )
-
-    def decomposition_runner(count: int, seed: int) -> SweepResult:
-        alpha = MultiIndex.of(2, 1)
-
-        def target(x, y):
-            _, lm = riesz_kernel_batch(alpha, np.atleast_2d(x), np.atleast_2d(y))
-            return float(lm[0])
-
-        def bound(x, y):
-            xn = float(np.linalg.norm(x))
-            yn = float(np.linalg.norm(np.atleast_1d(y)))
-            parts = []
-            for a in range(alpha.order + 1):
-                parts.append(_first_half_integral_log(n, a, x, np.atleast_2d(y))[0])
-                parts.append(_second_half_integral_log(n, a, x, np.atleast_2d(y), "full")[0])
-            return -xn * xn + yn * yn + float(
-                signed_logsumexp(np.asarray(parts)[None, :], axis=1)[1][0]
-            )
-
-        rng = np.random.default_rng([seed, 0])
-        return bound_ratio_sweep(
-            target, bound, _sampler_global(n), count, rng, key="decomposition"
-        )
-
     add(
         "decomposition",
         "full kernel against the shared-factor sum of first/second-half integrals",
-        decomposition_runner,
+        (
+            kernel_log(decomposed),
+            decomposition_bound,
+            lambda rng, count: sample_global_pairs(rng, n, count, radius=6.0),
+        ),
     )
-
-    def local_integral_runner(count: int, seed: int) -> SweepResult:
-        subs = {}
-        for i, dim in enumerate((1, 2)):
-            mu, nu = 3.0, 0.0
-
-            def target(x, y, d=dim):
-                return near_diagonal_profile_integral(d, mu, nu, x, y)
-
-            def bound(x, y, d=dim):
-                return -(d + mu - nu - 2.0) * math.log(np.linalg.norm(x - y))
-
-            rng = np.random.default_rng([seed, i])
-            subs[f"n={dim}"] = bound_ratio_sweep(
-                target, bound, _sampler_local(dim), count, rng, key="local-integral"
-            )
-        return _combine_sub_results("local-integral", subs)
-
     add(
         "local-integral",
         "near-diagonal profile integral against |x-y|^{-(n+mu-nu-2)} at mu=3, nu=0",
-        local_integral_runner,
+        {
+            f"n={d}": (
+                partial(near_diagonal_profile_integral, d, mu, nu),
+                separation_power(-(d + mu - nu - 2.0)),
+                local(d),
+            )
+            for d in (1, 2)
+        },
     )
-
-    def cz_kernel_runner(count: int, seed: int) -> SweepResult:
-        alpha = MultiIndex.of(1, 1)
-
-        def target(x, y):
-            _, lm = riesz_kernel_batch(alpha, np.atleast_2d(x), np.atleast_2d(y))
-            return float(lm[0])
-
-        def bound(x, y):
-            return -n * math.log(np.linalg.norm(x - y))
-
-        rng = np.random.default_rng([seed, 0])
-        return bound_ratio_sweep(
-            target, bound, _sampler_local(n), count, rng, key="cz-kernel"
-        )
-
-    add("cz-kernel", "kernel size against |x-y|^{-n} on the local region", cz_kernel_runner)
-
-    def cz_gradient_runner(count: int, seed: int) -> SweepResult:
-        alpha = MultiIndex.of(1, 1)
-
-        def target(x, y):
-            gx, gy = _fd_gradient_logs(alpha, np.atleast_2d(x), np.atleast_2d(y))
-            return float(np.logaddexp(gx[0], gy[0]))
-
-        def bound(x, y):
-            return -(n + 1) * math.log(np.linalg.norm(x - y))
-
-        rng = np.random.default_rng([seed, 0])
-        return bound_ratio_sweep(
-            target, bound, _sampler_local(n), count, rng, key="cz-gradient"
-        )
-
+    add(
+        "cz-kernel",
+        "kernel size against |x-y|^{-n} on the local region",
+        (kernel_log(cz_alpha), separation_power(-n), local(n)),
+    )
     add(
         "cz-gradient",
         "kernel gradient size against |x-y|^{-(n+1)} on the local region",
-        cz_gradient_runner,
+        (gradient_log(cz_alpha), separation_power(-(n + 1)), local(n)),
     )
     return entries
 
@@ -1339,9 +1172,7 @@ class CZLocalResult:
 def czlocal_supremum(
     alpha: MultiIndex, n: int, count: int, rng: np.random.Generator
 ) -> CZLocalResult:
-    pairs = sample_local_pairs(rng, n, 2 * count)
-    X = np.array([p[0] for p in pairs])
-    Y = np.array([p[1] for p in pairs])
+    X, Y = sample_local_pairs(rng, n, 2 * count)
     sep = np.linalg.norm(X - Y, axis=1)
     _, log_k = riesz_kernel_batch(alpha, X, Y)
     stat_k = log_k + n * np.log(sep)
@@ -1416,27 +1247,10 @@ class QuasinormProbe:
     metadata: dict = field(default_factory=dict)
 
 
-def _ball_lebesgue_nodes(
-    n: int, center: np.ndarray, radius: float, radial: int = 24, angular: int = 64
-) -> tuple[np.ndarray, np.ndarray]:
-    """Polar Lebesgue quadrature nodes/log-weights over a ball."""
-    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(radial)
-    r = 0.5 * radius * (gl_nodes + 1.0)
-    w_r = 0.5 * radius * gl_weights
-    if n == 1:
-        dirs = np.array([[1.0], [-1.0]])
-        w_a = np.array([1.0, 1.0])
-    elif n == 2:
-        theta = 2.0 * math.pi * (np.arange(angular) + 0.5) / angular
-        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        w_a = np.full(angular, 2.0 * math.pi / angular)
-    else:
-        raise NotImplementedError("ball nodes implemented for n <= 2")
-    pts = center[None, None, :] + r[:, None, None] * dirs[None, :, :]
-    logw = (
-        np.log(w_r[:, None]) + np.log(w_a[None, :]) + (n - 1) * np.log(r[:, None])
-    )
-    return pts.reshape(-1, n), logw.reshape(-1)
+def _ball_radial_rule(radius: float, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Radii and weights of one Gauss-Legendre panel on [0, radius]."""
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(order)
+    return 0.5 * radius * (gl_nodes + 1.0), 0.5 * radius * gl_weights
 
 
 def weak_quasinorm_probe(
@@ -1477,7 +1291,7 @@ def weak_quasinorm_probe(
         c = np.asarray(center, dtype=float)
         if c.ndim == 0:
             c = np.concatenate([[float(c)], np.zeros(n - 1)])
-        ball_pts, ball_logw = _ball_lebesgue_nodes(n, c, rho)
+        ball_pts, ball_logw = _polar_nodes(c, *_ball_radial_rule(rho, 24), 64)
         log_norm = gamma_inv_ball_log(n, c, rho).logmag
         if spec.kernel_id == "L42":
             ball_sum = float(
@@ -1676,8 +1490,8 @@ def _tube_tf_logs(cfg: CounterexampleConfig, eta: float):
     n = cfg.n
     z = np.full(n, eta)
     pts, log_cell = _tube_grid(cfg, eta)
-    ball_pts, ball_logw = _ball_lebesgue_nodes(
-        n, z, cfg.ball_radius, radial=cfg.ball_radial, angular=cfg.ball_angular
+    ball_pts, ball_logw = _polar_nodes(
+        z, *_ball_radial_rule(cfg.ball_radius, cfg.ball_radial), cfg.ball_angular
     )
     log_f = -gamma_inv_ball_log(n, z, cfg.ball_radius).logmag
     m, mb = pts.shape[0], ball_pts.shape[0]

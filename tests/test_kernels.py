@@ -11,13 +11,13 @@ from rieszlab.hermite import gamma_h
 from rieszlab.kernels import (
     frac_power_kernel,
     heat_kernel,
-    kernel_gradient,
     riesz_integrand,
     riesz_kernel,
     riesz_kernel_batch,
 )
 from rieszlab.quadrature import NonConvergenceError, QuadratureConfig
 from rieszlab.regions import in_N
+from rieszlab.weaktype import _fd_gradient_logs
 
 _GL = np.polynomial.legendre.leggauss(220)
 
@@ -159,14 +159,29 @@ def test_kernel_gradient_step_consistency():
     # halving the step keeps the central difference; no analytic gradient
     # exists, so consistency across Richardson scales is the check
     alpha = MultiIndex.of(1, 1)
-    x = np.array([0.8, -0.2])
-    y = np.array([0.5, 0.1])
-    g1x, g1y = kernel_gradient(alpha, x, y, fd_scale=1e-4)
-    g2x, g2y = kernel_gradient(alpha, x, y, fd_scale=5e-5)
-    np.testing.assert_allclose(g1x, g2x, rtol=1e-5)
-    np.testing.assert_allclose(g1y, g2y, rtol=1e-5)
+    X = np.array([[0.8, -0.2]])
+    Y = np.array([[0.5, 0.1]])
+    g1x, g1y = _fd_gradient_logs(alpha, X, Y, fd_scale=1e-4)
+    g2x, g2y = _fd_gradient_logs(alpha, X, Y, fd_scale=5e-5)
+    np.testing.assert_allclose(np.exp(g1x - g2x), 1.0, rtol=1e-5)
+    np.testing.assert_allclose(np.exp(g1y - g2y), 1.0, rtol=1e-5)
     with pytest.raises(ValueError):
-        kernel_gradient(alpha, x, x)
+        _fd_gradient_logs(alpha, X, X)
+
+
+def test_batch_kernel_rejects_undefined_inputs():
+    # the kernel is undefined on the diagonal and for non-finite points;
+    # one bad row among good ones must raise rather than return a number
+    alpha = MultiIndex.of(1, 0)
+    X = np.array([[0.2, -0.1], [0.5, 0.5]])
+    with pytest.raises(ValueError, match="diagonal"):
+        riesz_kernel_batch(alpha, X, np.array([[0.6, 0.5], [0.5, 0.5]]))
+    for bad in (math.nan, math.inf, -math.inf):
+        Y = np.array([[0.6, 0.5], [0.5, bad]])
+        with pytest.raises(ValueError, match="finite"):
+            riesz_kernel_batch(alpha, X, Y)
+        with pytest.raises(ValueError, match="finite"):
+            riesz_kernel_batch(alpha, Y, X)
 
 
 def test_kernel_value_diagnostics():

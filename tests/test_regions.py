@@ -99,21 +99,20 @@ def test_split_kernel_reassembles():
 
 def test_local_sampler_properties():
     rng = np.random.default_rng(31)
-    pairs = sample_local_pairs(rng, 2, 200)
-    assert len(pairs) == 200
-    for x, y in pairs:
+    X, Y = sample_local_pairs(rng, 2, 200)
+    assert X.shape == Y.shape == (200, 2)
+    for x, y in zip(X, Y):
         assert in_N(2.0, x, y)
     # prefix-nesting: the first half of a double draw equals the single draw
     a = sample_local_pairs(np.random.default_rng(5), 2, 50)
     b = sample_local_pairs(np.random.default_rng(5), 2, 100)
-    for (x1, y1), (x2, y2) in zip(a, b[:50]):
-        np.testing.assert_array_equal(x1, x2)
-        np.testing.assert_array_equal(y1, y2)
+    for rows_a, rows_b in zip(a, b):
+        np.testing.assert_array_equal(rows_a, rows_b[:50])
 
 
 def test_global_sampler_properties():
     rng = np.random.default_rng(33)
-    pairs = sample_global_pairs(rng, 2, 200)
-    assert len(pairs) == 200
-    for x, y in pairs:
+    X, Y = sample_global_pairs(rng, 2, 200)
+    assert X.shape == Y.shape == (200, 2)
+    for x, y in zip(X, Y):
         assert not in_N(1.0, x, y)

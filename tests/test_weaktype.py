@@ -14,6 +14,7 @@ import rieszlab.weaktype as wt
 from rieszlab import MultiIndex
 from rieszlab.apply import apply_glob_log, ball_indicator
 from rieszlab.logscaled import LogScaled, signed_logsumexp
+from rieszlab.regions import sample_global_pairs, sample_local_pairs
 
 
 class TestBallMeasure:
@@ -256,6 +257,26 @@ class TestLemmaKernels:
             assert np.array_equal(live, np.isfinite(turned))
             np.testing.assert_allclose(turned[live], base[live], atol=1e-9)
 
+    def test_one_x_per_row_matches_row_by_row(self):
+        # a block of pair rows with distinct x gives each row the value of
+        # its own single-x call; the arithmetic is per row, so equal to
+        # rounding of the row sums
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(10, 2)) * 2.0
+        Y = rng.normal(size=(10, 2)) * 2.0
+        specs = [
+            wt.LemmaKernelSpec("L41", 2),
+            wt.LemmaKernelSpec("L42", 2, mu=1.0, nu=0.5),
+            wt.LemmaKernelSpec("L43", 2, delta=0.7),
+            wt.LemmaKernelSpec("L44", 2, delta=0.7),
+            wt.LemmaKernelSpec("K1a", 2, a=2),
+            wt.LemmaKernelSpec("K2a", 2, a=1, piece="mid"),
+        ]
+        for spec in specs:
+            rows = wt.lemma_kernel_batch(spec, X, Y)
+            single = [wt.lemma_kernel_batch(spec, x, y[None, :])[0] for x, y in zip(X, Y)]
+            np.testing.assert_allclose(rows, single, rtol=1e-13, atol=1e-13)
+
     def test_masked_kernels_vanish_off_sector(self):
         l43 = wt.LemmaKernelSpec("L43", 2)
         x = np.array([2.0, 0.0])
@@ -283,7 +304,7 @@ class TestProfileAndBlocks:
         n, mu, nu = 2, 1.0, 0.5
         x = np.array([1.2, 0.0])
         y = np.array([0.4, 0.3])
-        got = wt.near_diagonal_profile_integral(n, mu, nu, x, y)
+        got = wt.near_diagonal_profile_integral(n, mu, nu, x[None, :], y[None, :])[0]
 
         def integrand(r):
             d2 = float(np.sum((x - r * y) ** 2))
@@ -325,12 +346,13 @@ class TestProfileAndBlocks:
 class TestBoundRatioSweep:
     @staticmethod
     def sampler(rng, count):
-        return [(np.array([float(i + 1)]), np.array([0.0])) for i in range(count)]
+        # rows x = 1, 2, ..., count against y = 0
+        return np.arange(1.0, count + 1.0)[:, None], np.zeros((count, 1))
 
     def test_constant_ratio_is_stable(self):
         res = wt.bound_ratio_sweep(
-            lambda x, y: math.log(x[0]),
-            lambda x, y: math.log(2.0 * x[0]),
+            lambda X, Y: np.log(X[:, 0]),
+            lambda X, Y: np.log(2.0 * X[:, 0]),
             self.sampler,
             count=16,
             rng=np.random.default_rng(0),
@@ -342,8 +364,8 @@ class TestBoundRatioSweep:
 
     def test_growing_ratio_is_unstable(self):
         res = wt.bound_ratio_sweep(
-            lambda x, y: math.log(x[0]),
-            lambda x, y: 0.0,
+            lambda X, Y: np.log(X[:, 0]),
+            lambda X, Y: np.zeros(len(X)),
             self.sampler,
             count=16,
             rng=np.random.default_rng(0),
@@ -351,11 +373,12 @@ class TestBoundRatioSweep:
         # sup doubles when the sample doubles: rel change is exactly 1
         assert not res.stable
         assert abs(res.rel_change - 1.0) <= 1e-12
+        assert res.argmax == ([32.0], [0.0])
 
     def test_dead_target_not_stable(self):
         res = wt.bound_ratio_sweep(
-            lambda x, y: -math.inf,
-            lambda x, y: 0.0,
+            lambda X, Y: np.full(len(X), -np.inf),
+            lambda X, Y: np.zeros(len(X)),
             self.sampler,
             count=8,
             rng=np.random.default_rng(0),
@@ -364,14 +387,40 @@ class TestBoundRatioSweep:
 
     def test_vanishing_bound_with_live_target(self):
         res = wt.bound_ratio_sweep(
-            lambda x, y: 0.0,
-            lambda x, y: -math.inf,
+            lambda X, Y: np.zeros(len(X)),
+            lambda X, Y: np.full(len(X), -np.inf),
             self.sampler,
             count=8,
             rng=np.random.default_rng(0),
         )
         assert not res.stable
         assert res.log_max_ratio == math.inf
+
+
+_THIRD = 1.0 / 3.0 + 1e-9
+REGISTRY_SAMPLERS = {
+    "shell-far": wt._sampler_shell(2, 2.0, 4.0),
+    "shell-near": wt._sampler_shell(2, 0.05, 2.0),
+    "peak-low": wt._sampler_peak(2, 0.02, 1.0 / 3.0),
+    "peak-below-1": wt._sampler_peak(2, _THIRD, 1.0 - 1e-9),
+    "peak-around-1": wt._sampler_peak(2, _THIRD, 2.0),
+    "peak-high": wt._sampler_peak(2, 2.0, 4.0),
+    "local-n1": lambda rng, count: sample_local_pairs(rng, 1, count),
+    "local-n2": lambda rng, count: sample_local_pairs(rng, 2, count),
+    "global": lambda rng, count: sample_global_pairs(rng, 2, count, radius=6.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY_SAMPLERS))
+def test_registry_sampler_is_prefix_nested(name):
+    # the doubling check compares a sample with its own first half, so the
+    # first c rows of a 2c draw must be the c draw from the same seed
+    sampler = REGISTRY_SAMPLERS[name]
+    X1, Y1 = sampler(np.random.default_rng(21), 40)
+    X2, Y2 = sampler(np.random.default_rng(21), 80)
+    assert X1.shape == Y1.shape and X2.shape == Y2.shape == (80, X1.shape[1])
+    np.testing.assert_array_equal(X2[:40], X1)
+    np.testing.assert_array_equal(Y2[:40], Y1)
 
 
 class TestRegistry:
