@@ -256,7 +256,7 @@ def _hermite_batch(k: int, u: np.ndarray) -> np.ndarray:
 
 
 def riesz_kernel_batch(
-    alpha: MultiIndex, X: np.ndarray, Y: np.ndarray, chunk: int = 4096
+    alpha: MultiIndex, X: np.ndarray, Y: np.ndarray, chunk: int = 512
 ) -> tuple[np.ndarray, np.ndarray]:
     """Riesz kernel over many pairs at once on a fixed composite rule.
 
@@ -292,21 +292,29 @@ def riesz_kernel_batch(
     signs = np.empty(m, dtype=int)
     logmags = np.empty(m, dtype=float)
     for start in range(0, m, chunk):
-        xb = X[start : start + chunk]
-        yb = Y[start : start + chunk]
-        u = (xb[:, None, :] - r[None, :, None] * yb[:, None, :]) * inv_s[None, :, None]
-        usq = np.sum(u * u, axis=2)
+        # u[j] is coordinate j at every (pair, node), shape (rows, nodes), so
+        # each operation runs over contiguous node rows.  The operations and
+        # their order match a one-pair evaluation: no value depends on chunk.
+        xb = X[start : start + chunk].T[:, :, None]
+        yb = Y[start : start + chunk].T[:, :, None]
+        u = yb * -r
+        u += xb
+        u *= inv_s
+        usq = u[0] * u[0]
+        for j in range(1, n):
+            usq += u[j] * u[j]
         h_sign = np.ones_like(usq)
-        h_logmag = np.zeros_like(usq)
+        term_log = np.zeros_like(usq)
         for j, k in enumerate(alpha):
             if k == 0:
                 continue
-            hv = _hermite_batch(k, u[:, :, j])
-            h_sign = h_sign * np.sign(hv)
+            hv = _hermite_batch(k, u[j])
+            h_sign *= np.sign(hv)
             with np.errstate(divide="ignore"):
-                h_logmag = h_logmag + np.log(np.abs(hv))
-        term_log = h_logmag + logw[None, :] - usq
-        term_log = np.where(h_sign == 0.0, -np.inf, term_log)
+                term_log += np.log(np.abs(hv))
+        term_log += logw
+        term_log -= usq
+        term_log[h_sign == 0.0] = -np.inf
         sgn, lm = signed_logsumexp(term_log, h_sign, axis=1)
         signs[start : start + chunk] = sgn * pref.sign
         logmags[start : start + chunk] = lm + pref.logmag

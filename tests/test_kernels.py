@@ -145,6 +145,21 @@ def test_batch_matches_scalar_kernel():
         assert lm[0] == pytest.approx(kv.value.logmag, abs=1e-7)
 
 
+def test_batch_kernel_rows_independent_of_chunk():
+    # each row's value comes from the same arithmetic whatever block it
+    # lands in, so the block size cannot change a single bit
+    rng = np.random.default_rng(5)
+    for alpha in (MultiIndex.of(3), MultiIndex.of(2, 1), MultiIndex.of(1, 0, 2)):
+        X = rng.uniform(-3, 3, size=(37, alpha.dim))
+        Y = X + rng.normal(size=X.shape) * np.exp(rng.uniform(-6, 1, size=(37, 1)))
+        s, lm = riesz_kernel_batch(alpha, X, Y)
+        for chunk in (1, 8, 36):
+            s_c, lm_c = riesz_kernel_batch(alpha, X, Y, chunk=chunk)
+            assert np.array_equal(s_c, s) and np.array_equal(lm_c, lm)
+        s_one, lm_one = riesz_kernel_batch(alpha, X[11], Y[11])
+        assert s_one[0] == s[11] and lm_one[0] == lm[11]
+
+
 def test_scalar_kernel_near_diagonal_envelope():
     # below separations of roughly 1e-3 the adaptive path cannot certify the
     # default tolerance against the boundary layer at the top of the time
