@@ -3,25 +3,18 @@ Laplacian: log-domain kernel evaluation, Hermite spectral calculus, singular
 quadrature, and weak-type (1,1) probes."""
 
 from rieszlab.logscaled import LogScaled, log_sum
-from rieszlab.geometry import (
-    MultiIndex,
-    PolarDecomposition,
-    decompose,
-    identity_residuals,
-)
+from rieszlab.geometry import MultiIndex, identity_residuals
 from rieszlab.quadrature import NonConvergenceError, QuadratureConfig, integrate01
 from rieszlab.hermite import gamma_h, gauss_density, h_normalized, inv_gauss_density
 from rieszlab.kernels import (
     KernelValue,
     heat_kernel,
-    frac_power_kernel,
     riesz_kernel,
     riesz_kernel_batch,
 )
 from rieszlab.spectral import (
     SpectralCoefficients,
     analyze,
-    apply_frac_power,
     apply_riesz_spectral,
     l2_norm_bound,
     orthonormality_defect,
@@ -43,12 +36,8 @@ from rieszlab.weaktype import (
     counterexample_lower_bound,
     czlocal_supremum,
     gamma_inv_ball_log,
-    gamma_inv_measure,
-    gamma_inv_measure_mc,
-    lemma_kernel_eval,
     level_set_report,
     rank_one_quasinorm_exact,
-    run_bound_sweep,
     slope_fit,
     weak_quasinorm_probe,
 )
@@ -57,8 +46,6 @@ __all__ = [
     "LogScaled",
     "log_sum",
     "MultiIndex",
-    "PolarDecomposition",
-    "decompose",
     "identity_residuals",
     "NonConvergenceError",
     "QuadratureConfig",
@@ -69,12 +56,10 @@ __all__ = [
     "inv_gauss_density",
     "KernelValue",
     "heat_kernel",
-    "frac_power_kernel",
     "riesz_kernel",
     "riesz_kernel_batch",
     "SpectralCoefficients",
     "analyze",
-    "apply_frac_power",
     "apply_riesz_spectral",
     "l2_norm_bound",
     "orthonormality_defect",
@@ -92,12 +77,8 @@ __all__ = [
     "counterexample_lower_bound",
     "czlocal_supremum",
     "gamma_inv_ball_log",
-    "gamma_inv_measure",
-    "gamma_inv_measure_mc",
-    "lemma_kernel_eval",
     "level_set_report",
     "rank_one_quasinorm_exact",
-    "run_bound_sweep",
     "slope_fit",
     "weak_quasinorm_probe",
 ]

@@ -26,7 +26,7 @@ import numpy as np
 from rieszlab.geometry import MultiIndex
 from rieszlab.kernels import riesz_kernel_batch
 from rieszlab.logscaled import LogScaled, log_sum, signed_logsumexp
-from rieszlab.quadrature import NonConvergenceError, QuadratureConfig
+from rieszlab.quadrature import NonConvergenceError
 from rieszlab.regions import chi_batch
 
 __all__ = [
@@ -43,6 +43,9 @@ __all__ = [
 
 _MODES = ("full", "loc", "glob")
 _ANGULAR_NODES = 64
+# Gauss-Legendre order per radial panel, and per axis of the n = 3 box
+_RADIAL_ORDER = 16
+_BOX_ORDER = 24
 # extrapolated values below this fraction of the largest excised integral
 # are treated as converged-to-zero rather than failed cancellation
 _CANCEL_FLOOR = 1e-9
@@ -95,29 +98,6 @@ class GridFunction:
             )
             if self.log_abs_values.shape[0] != self.points.shape[0]:
                 raise ValueError("log_abs_values must match points")
-
-    def to_text(self) -> str:
-        lines = [f"{self.n}"]
-        for p, v in zip(self.points, self.values):
-            lines.append(" ".join(repr(float(c)) for c in p) + f" {float(v)!r}")
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_text(text: str) -> "GridFunction":
-        rows = [ln for ln in text.splitlines() if ln.strip()]
-        if not rows:
-            raise ValueError("empty grid function")
-        n = int(rows[0])
-        pts, vals = [], []
-        for ln in rows[1:]:
-            parts = [float(p) for p in ln.split()]
-            if len(parts) != n + 1:
-                raise ValueError(f"expected {n} coordinates and a value: {ln!r}")
-            pts.append(parts[:n])
-            vals.append(parts[n])
-        return GridFunction(
-            n=n, points=np.array(pts).reshape(-1, n), values=np.array(vals)
-        )
 
 
 def ball_indicator(n: int, center, radius: float) -> GridFunction:
@@ -247,16 +227,15 @@ def _shell_sum_log(
     r_lo: float,
     r_hi: float,
     mode: str,
-    order: int,
 ) -> LogScaled:
     """Integral of (mode weight) * kernel * f over the shell r_lo < |y-x| < r_hi."""
-    radial = _radial_rule(r_lo, r_hi, order, geometric=True)
+    radial = _radial_rule(r_lo, r_hi, _RADIAL_ORDER, geometric=True)
     pts, logw = _polar_nodes(x, *radial, _ANGULAR_NODES)
     return _weighted_kernel_sum(alpha, f, x, pts, logw, mode)
 
 
 def _support_sum_log(
-    alpha: MultiIndex, f: GridFunction, x: np.ndarray, mode: str, order: int
+    alpha: MultiIndex, f: GridFunction, x: np.ndarray, mode: str
 ) -> LogScaled:
     """Quadrature over the support ball of f; x must be clearly outside it.
 
@@ -267,10 +246,10 @@ def _support_sum_log(
     n = f.n
     c, rho = f.support_center, float(f.support_radius)
     if n <= 2:
-        radial = _radial_rule(0.0, rho, order, geometric=False)
+        radial = _radial_rule(0.0, rho, _RADIAL_ORDER, geometric=False)
         pts, logw = _polar_nodes(c, *radial, _ANGULAR_NODES)
         return _weighted_kernel_sum(alpha, f, x, pts, logw, mode)
-    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(order)
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(_BOX_ORDER)
     axes = [c[j] + rho * gl_nodes for j in range(n)]
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
@@ -323,7 +302,6 @@ def _apply_log(
     f: GridFunction,
     x,
     pv: PVConfig | None,
-    cfg: QuadratureConfig | None,
     mode: str,
 ) -> LogScaled:
     if mode not in _MODES:
@@ -337,15 +315,13 @@ def _apply_log(
     if alpha.order < 1:
         raise ValueError("the transform needs |alpha| >= 1")
     pv = pv or PVConfig()
-    cfg = cfg or QuadratureConfig()
-    order = 16 if cfg.rel_tol >= 1e-12 else 24
     x = np.asarray(x, dtype=float).reshape(f.n)
     dist = float(np.linalg.norm(x - f.support_center))
     rho = float(f.support_radius)
 
     clearance = dist - rho
     if clearance >= max(4.0 * pv.epsilon, 0.05 * rho):
-        return _support_sum_log(alpha, f, x, mode, order=24 if f.n == 3 else order)
+        return _support_sum_log(alpha, f, x, mode)
 
     if _is_all_even(alpha) and dist <= rho + 2.0 * pv.epsilon:
         raise ValueError(
@@ -358,47 +334,43 @@ def _apply_log(
 
     radius_cover = dist + rho
     eps = [pv.epsilon / 2.0**i for i in range(pv.levels)]
-    ladder = [_shell_sum_log(alpha, f, x, eps[0], radius_cover, mode, order)]
+    ladder = [_shell_sum_log(alpha, f, x, eps[0], radius_cover, mode)]
     for i in range(1, pv.levels):
-        shell = _shell_sum_log(alpha, f, x, eps[i], eps[i - 1], mode, order)
+        shell = _shell_sum_log(alpha, f, x, eps[i], eps[i - 1], mode)
         ladder.append(log_sum([ladder[-1], shell]))
     value, _ = _extrapolate_ladder(ladder, eps, pv.rel_tol)
     return value
 
 
 def apply_riesz_log(
-    alpha: MultiIndex,
-    f: GridFunction,
-    x,
-    pv: PVConfig | None = None,
-    cfg: QuadratureConfig | None = None,
+    alpha: MultiIndex, f: GridFunction, x, pv: PVConfig | None = None
 ) -> LogScaled:
     """Transform of f at x as a log-scaled value (safe at any magnitude)."""
-    return _apply_log(alpha, f, x, pv, cfg, "full")
+    return _apply_log(alpha, f, x, pv, "full")
 
 
-def apply_loc_log(alpha, f, x, pv=None, cfg=None) -> LogScaled:
+def apply_loc_log(alpha, f, x, pv=None) -> LogScaled:
     """Local part: kernel weighted by the smooth cutoff."""
-    return _apply_log(alpha, f, x, pv, cfg, "loc")
+    return _apply_log(alpha, f, x, pv, "loc")
 
 
-def apply_glob_log(alpha, f, x, pv=None, cfg=None) -> LogScaled:
+def apply_glob_log(alpha, f, x, pv=None) -> LogScaled:
     """Global part: kernel weighted by one minus the cutoff.
 
     Shares quadrature nodes with the other two modes, so the local and
     global parts add back to the unsplit value at rounding accuracy.
     """
-    return _apply_log(alpha, f, x, pv, cfg, "glob")
+    return _apply_log(alpha, f, x, pv, "glob")
 
 
-def apply_riesz(alpha, f, x, pv=None, cfg=None) -> float:
+def apply_riesz(alpha, f, x, pv=None) -> float:
     """Float-valued transform; raises OverflowError outside float range."""
-    return _apply_log(alpha, f, x, pv, cfg, "full").to_float()
+    return _apply_log(alpha, f, x, pv, "full").to_float()
 
 
-def apply_loc(alpha, f, x, pv=None, cfg=None) -> float:
-    return _apply_log(alpha, f, x, pv, cfg, "loc").to_float()
+def apply_loc(alpha, f, x, pv=None) -> float:
+    return _apply_log(alpha, f, x, pv, "loc").to_float()
 
 
-def apply_glob(alpha, f, x, pv=None, cfg=None) -> float:
-    return _apply_log(alpha, f, x, pv, cfg, "glob").to_float()
+def apply_glob(alpha, f, x, pv=None) -> float:
+    return _apply_log(alpha, f, x, pv, "glob").to_float()

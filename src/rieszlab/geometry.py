@@ -1,5 +1,6 @@
-"""Multi-indices and the splitting of y into components parallel and
-orthogonal to a reference point x."""
+"""Multi-indices and the algebraic identities behind the kernel analysis,
+among them the split of y into components parallel and orthogonal to a
+reference point x."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["MultiIndex", "PolarDecomposition", "decompose", "identity_residuals"]
+__all__ = ["MultiIndex", "identity_residuals"]
 
 
 @dataclass(frozen=True)
@@ -68,40 +69,6 @@ class MultiIndex:
 
     def __iter__(self):
         return iter(self.entries)
-
-
-@dataclass(frozen=True)
-class PolarDecomposition:
-    """y written as y_par + y_perp relative to the ray through x."""
-
-    y_parallel: np.ndarray
-    y_perp: np.ndarray
-    r0: float
-    theta: float
-
-
-def decompose(x: np.ndarray, y: np.ndarray) -> PolarDecomposition:
-    """Split y into the component along x and its orthogonal complement.
-
-    r0 is the signed ratio |y|cos(theta)/|x|, so y_parallel = r0 * x, and
-    theta is the angle between x and y (0 when y = 0 by convention).
-    Raises ValueError when x = 0, since the ray is then undefined.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    nx = float(np.linalg.norm(x))
-    if nx == 0.0:
-        raise ValueError("cannot decompose relative to x = 0")
-    ny = float(np.linalg.norm(y))
-    r0 = float(np.dot(x, y)) / nx**2
-    y_parallel = r0 * x
-    y_perp = y - y_parallel
-    if ny == 0.0:
-        theta = 0.0
-    else:
-        cos_theta = float(np.dot(x, y)) / (nx * ny)
-        theta = math.acos(max(-1.0, min(1.0, cos_theta)))
-    return PolarDecomposition(y_parallel=y_parallel, y_perp=y_perp, r0=r0, theta=theta)
 
 
 def identity_residuals(rng: np.random.Generator, n: int, count: int) -> dict:

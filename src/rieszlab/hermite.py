@@ -18,7 +18,6 @@ from rieszlab.logscaled import LogScaled
 
 __all__ = [
     "hermite1d",
-    "hermite1d_table",
     "hermite_multi",
     "h_normalized",
     "h_normalized_table",
@@ -51,18 +50,6 @@ def hermite1d(k: int, s):
     for j in range(1, k):
         prev, cur = cur, 2.0 * s * cur - 2.0 * j * prev
     return cur if cur.ndim else float(cur)
-
-
-def hermite1d_table(kmax: int, s: np.ndarray) -> np.ndarray:
-    """All degrees 0..kmax at once; shape (kmax + 1, len(s))."""
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    table = np.empty((kmax + 1, s.size))
-    table[0] = 1.0
-    if kmax >= 1:
-        table[1] = 2.0 * s
-    for j in range(1, kmax):
-        table[j + 1] = 2.0 * s * table[j] - 2.0 * j * table[j - 1]
-    return table
 
 
 def h_normalized_table(kmax: int, s: np.ndarray) -> np.ndarray:

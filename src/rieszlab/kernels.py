@@ -1,5 +1,5 @@
-"""Heat, negative-power, and Riesz-transform kernels of the inverse-Gaussian
-Laplacian, evaluated off the diagonal in the log domain.
+"""Heat and Riesz-transform kernels of the inverse-Gaussian Laplacian,
+evaluated off the diagonal in the log domain.
 
 All kernels are one-dimensional integrals over r in (0, 1) after the change
 of variable r = e^{-t}.  Two algebraically equal forms of the Riesz integrand
@@ -25,13 +25,12 @@ import numpy as np
 from rieszlab.geometry import MultiIndex
 from rieszlab.hermite import hermite1d, hermite_multi
 from rieszlab.logscaled import LogScaled, log_sum, signed_logsumexp
-from rieszlab.quadrature import QuadratureConfig, integrate01, integrate01_with_info
+from rieszlab.quadrature import QuadratureConfig, integrate01_with_info
 from rieszlab.regions import in_N
 
 __all__ = [
     "KernelValue",
     "heat_kernel",
-    "frac_power_kernel",
     "riesz_integrand",
     "riesz_kernel",
     "riesz_kernel_batch",
@@ -53,11 +52,14 @@ class KernelValue:
 
 def heat_kernel(t: float, x: np.ndarray, y: np.ndarray) -> LogScaled:
     """Mehler-type heat kernel at time t > 0, with respect to Lebesgue
-    measure in y.  Integrates to 1 in y and to e^{-n t} in x."""
-    if t <= 0:
-        raise ValueError("time must be positive")
+    measure in y.  Integrates to 1 in y and to e^{-n t} in x.  A non-finite
+    t, x or y raises ValueError."""
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError("time must be finite and positive")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("kernel needs finite x and y")
     n = x.size
     decay = -math.expm1(-2.0 * t)  # 1 - e^{-2t}, accurate for small t
     diff = x - math.exp(-t) * y
@@ -72,40 +74,6 @@ def heat_kernel(t: float, x: np.ndarray, y: np.ndarray) -> LogScaled:
 
 def _log_one_minus_r2(r: float) -> float:
     return math.log1p(-r) + math.log1p(r)
-
-
-def frac_power_kernel(
-    b: float, x: np.ndarray, y: np.ndarray, cfg: QuadratureConfig | None = None
-) -> LogScaled:
-    """Kernel of the negative power (order b > 0) of the operator.
-
-    Off the diagonal for any b; on the diagonal the r-integral only converges
-    when 2 b > n, and the call is rejected otherwise.
-    """
-    if b <= 0:
-        raise ValueError("power must be positive")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = x.size
-    if np.array_equal(x, y) and 2.0 * b <= n:
-        raise ValueError(f"kernel diverges at x = y for 2b = {2 * b:g} <= n = {n}")
-    cfg = cfg or QuadratureConfig()
-
-    def integrand(r: float) -> LogScaled:
-        one_m_r2 = (1.0 - r) * (1.0 + r)
-        diff = x - r * y
-        logmag = (
-            (n - 1) * math.log(r)
-            + (b - 1.0) * math.log(-math.log(r))
-            - 0.5 * n * _log_one_minus_r2(r)
-            - float(np.dot(diff, diff)) / one_m_r2
-        )
-        return LogScaled.from_log(logmag)
-
-    left = integrate01(integrand, cfg.with_substitution("neg_log"), 0.0, _SPLIT)
-    right = integrate01(integrand, cfg.with_substitution("one_minus_exp"), _SPLIT, 1.0)
-    scale = LogScaled.from_log(-math.lgamma(b) - 0.5 * n * math.log(math.pi))
-    return scale * log_sum([left, right])
 
 
 def riesz_integrand(
@@ -163,7 +131,8 @@ def riesz_kernel(
 
     form "auto" picks direct on the near-diagonal region (scale-2 local set)
     and factored in the global region.  The two forms agree to quadrature
-    tolerance; only the bookkeeping of the outside constant differs.
+    tolerance; only the bookkeeping of the outside constant differs.  A
+    non-finite x or y raises ValueError.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -171,6 +140,8 @@ def riesz_kernel(
         raise ValueError("dimension mismatch between alpha, x, y")
     if alpha.order < 1:
         raise ValueError("order must be at least 1")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("kernel needs finite x and y")
     if float(np.linalg.norm(x - y)) == 0.0:
         raise ValueError("kernel undefined on the diagonal")
     if form == "auto":

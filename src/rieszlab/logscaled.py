@@ -115,9 +115,6 @@ class LogScaled:
             return self
         return LogScaled(1, 0.5 * self.logmag)
 
-    def lt_mag(self, other: "LogScaled") -> bool:
-        return self.logmag < other.logmag
-
     def __repr__(self) -> str:
         if self.sign == 0:
             return "LogScaled(0)"

@@ -9,19 +9,14 @@ region, and rides a quintic smoothstep in between, which keeps
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
-
-from rieszlab.logscaled import LogScaled
 
 __all__ = [
     "membership_u",
     "in_N",
     "chi",
     "chi_batch",
-    "grad_chi",
-    "split_kernel",
     "sample_local_pairs",
     "sample_global_pairs",
 ]
@@ -49,12 +44,6 @@ def _smoothstep(t: float) -> float:
     return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
 
 
-def _smoothstep_prime(t: float) -> float:
-    if t <= 0.0 or t >= 1.0:
-        return 0.0
-    return 30.0 * t * t * (1.0 - t) * (1.0 - t)
-
-
 def chi(x: np.ndarray, y: np.ndarray) -> float:
     """Smooth cutoff: 1 on the inner local region, 0 on the global one."""
     return 1.0 - _smoothstep(membership_u(x, y) - 1.0)
@@ -69,45 +58,6 @@ def chi_batch(x: np.ndarray, Y: np.ndarray) -> np.ndarray:
     )
     t = np.clip(u - 1.0, 0.0, 1.0)
     return 1.0 - t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
-
-
-def grad_chi(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of chi in x and in y.
-
-    On the transition shell 1 < u < 2 the product |grad chi| |x - y| stays
-    below a fixed constant; outside the shell both gradients vanish.
-    At x = 0 or y = 0 the non-smooth |x| term contributes its limit 0.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    u = membership_u(x, y)
-    slope = _smoothstep_prime(u - 1.0)
-    if slope == 0.0:
-        return np.zeros_like(x), np.zeros_like(y)
-    diff = x - y
-    dist = float(np.linalg.norm(diff))
-    nx = float(np.linalg.norm(x))
-    ny = float(np.linalg.norm(y))
-    scale = 1.0 + nx + ny
-    unit_diff = diff / dist
-    ex = x / nx if nx > 0 else np.zeros_like(x)
-    ey = y / ny if ny > 0 else np.zeros_like(y)
-    gx = -slope * (scale * unit_diff + dist * ex)
-    gy = -slope * (-scale * unit_diff + dist * ey)
-    return gx, gy
-
-
-def split_kernel(
-    kernel: Callable[[np.ndarray, np.ndarray], LogScaled],
-    x: np.ndarray,
-    y: np.ndarray,
-) -> tuple[LogScaled, LogScaled]:
-    """Split a kernel value into (chi * K, (1 - chi) * K)."""
-    value = kernel(x, y)
-    c = chi(x, y)
-    local = value * c if c > 0.0 else LogScaled.zero()
-    glob = value * (1.0 - c) if c < 1.0 else LogScaled.zero()
-    return local, glob
 
 
 def _draw_pairs(

@@ -1,15 +1,15 @@
 """Hermite-coefficient representation and exact spectral action of the
-operator's negative powers and Riesz transforms.
+operator's Riesz transforms.
 
 The family {gauss * h_beta} is orthonormal in L^2 of the inverse-Gaussian
 measure, and the density product gauss * inv_gauss == 1 turns every
 coefficient into a plain Lebesgue integral: c_beta = integral of f * h_beta.
-Both quadrature backends below exploit that cancellation, so the
+The Gauss-Hermite analysis below exploits that cancellation, so the
 inverse-Gaussian weight itself is never formed numerically.
 
-On coefficients the operators act diagonally (negative powers) or by a
-degree shift along alpha (Riesz transforms), which makes this module the
-trusted oracle against which the kernel-quadrature path is checked.
+On coefficients the Riesz transforms act by a degree shift along alpha,
+which makes this module the trusted oracle against which the
+kernel-quadrature path is checked.
 """
 
 from __future__ import annotations
@@ -27,18 +27,14 @@ from rieszlab.hermite import h_normalized_table
 __all__ = [
     "SpectralCoefficients",
     "NormBoundResult",
-    "BACKENDS",
     "total_degree_indices",
     "analyze",
     "synthesize",
-    "apply_frac_power",
     "apply_riesz_spectral",
     "riesz_coefficient_factor",
     "l2_norm_bound",
     "orthonormality_defect",
 ]
-
-BACKENDS = ("hermite", "legendre")
 
 # Gauss-Hermite nodes reach sqrt(2*order + 1); exp(node^2) must stay finite
 # when the Gaussian quotient is formed pointwise.
@@ -104,33 +100,6 @@ class SpectralCoefficients:
         """L^2 norm against the inverse-Gaussian measure (Parseval)."""
         return math.sqrt(math.fsum(v * v for v in self.coeffs.values()))
 
-    def to_text(self) -> str:
-        lines = [f"{self.n} {self.max_degree}"]
-        for beta in total_degree_indices(self.n, self.max_degree):
-            value = self.coeffs.get(beta)
-            if value is not None:
-                lines.append(" ".join(str(b) for b in beta) + f" {value!r}")
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_text(text: str) -> "SpectralCoefficients":
-        rows = [ln for ln in text.splitlines() if ln.strip()]
-        if not rows:
-            raise ValueError("empty coefficient table")
-        head = rows[0].split()
-        n, max_degree = int(head[0]), int(head[1])
-        coeffs: dict[tuple[int, ...], float] = {}
-        for ln in rows[1:]:
-            parts = ln.split()
-            beta = tuple(int(p) for p in parts[:-1])
-            coeffs[beta] = float(parts[-1])
-        return SpectralCoefficients(
-            n=n,
-            max_degree=max_degree,
-            coeffs=coeffs,
-            top_shell_fraction=_top_shell_fraction(coeffs, max_degree),
-        )
-
 
 def _top_shell_fraction(coeffs: dict[tuple[int, ...], float], max_degree: int) -> float:
     total = math.fsum(v * v for v in coeffs.values())
@@ -152,16 +121,16 @@ def _tensor_mesh(nodes_1d: np.ndarray, weights_1d: np.ndarray, n: int):
     return mesh, w
 
 
-def _contract(tables: list[np.ndarray], weighted_values: np.ndarray, n: int, m: int):
-    """c[beta] = sum_points (prod_j table_j[beta_j, point_j]) * weighted value."""
+def _contract(table: np.ndarray, weighted_values: np.ndarray, n: int, m: int):
+    """c[beta] = sum_points (prod_j table[beta_j, point_j]) * weighted value."""
     if n == 1:
-        return tables[0] @ weighted_values
+        return table @ weighted_values
     if n == 2:
         a = weighted_values.reshape(m, m)
-        return tables[0] @ a @ tables[1].T
+        return table @ a @ table.T
     if n == 3:
         a = weighted_values.reshape(m, m, m)
-        return np.einsum("ai,bj,ck,ijk->abc", tables[0], tables[1], tables[2], a)
+        return np.einsum("ai,bj,ck,ijk->abc", table, table, table, a)
     raise ValueError("analysis supports dimensions 1 to 3 only")
 
 
@@ -170,8 +139,6 @@ def analyze(
     n: int,
     max_degree: int,
     order: int | None = None,
-    backend: str = "hermite",
-    support: tuple[np.ndarray, np.ndarray] | None = None,
     gaussian_quotient: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> SpectralCoefficients:
     """Expand f over the orthonormal family, c_beta = integral of f * h_beta.
@@ -179,65 +146,35 @@ def analyze(
     f must be vectorized: it receives an (m, n) array of points and returns
     the m values.
 
-    backend "hermite" uses a tensor Gauss-Hermite rule whose weight absorbs
-    exp(-|x|^2), so the integrand is f(x) exp(|x|^2) h_beta(x).  Pass
-    gaussian_quotient to supply f(x) exp(|x|^2) analytically when f carries a
-    Gaussian factor; otherwise the quotient is formed pointwise, which is
-    safe for rule orders up to 350 (largest node below 26.5).
-
-    backend "legendre" integrates over the box support=(lo, hi) with a
-    tensor Gauss-Legendre rule, for compactly supported f.
+    A tensor Gauss-Hermite rule's weight absorbs exp(-|x|^2), so the
+    integrand is f(x) exp(|x|^2) h_beta(x).  Pass gaussian_quotient to supply
+    f(x) exp(|x|^2) analytically when f carries a Gaussian factor; otherwise
+    the quotient is formed pointwise, which is safe for rule orders up to 350
+    (largest node below 26.5).
 
     The per-coordinate order defaults to max(max_degree + 1, 64); a warning
     is emitted when the outermost shells hold more than a 1e-4 fraction of
     the squared-coefficient mass, the sign of inadequate degree or order.
     """
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}")
     if order is None:
         order = max(max_degree + 1, 64)
     if order < max_degree + 1:
         raise ValueError("quadrature order must be at least max_degree + 1")
+    if gaussian_quotient is None and order > _MAX_POINTWISE_ORDER:
+        raise ValueError(
+            "order too large to form exp(|x|^2) pointwise; pass gaussian_quotient"
+        )
 
-    if backend == "hermite":
-        nodes, weights = np.polynomial.hermite.hermgauss(order)
-        if gaussian_quotient is None and order > _MAX_POINTWISE_ORDER:
-            raise ValueError(
-                "order too large to form exp(|x|^2) pointwise; "
-                "pass gaussian_quotient"
-            )
-        mesh, w = _tensor_mesh(nodes, weights, n)
-        if gaussian_quotient is not None:
-            gv = np.asarray(gaussian_quotient(mesh), dtype=float)
-        else:
-            gv = np.asarray(f(mesh), dtype=float) * np.exp(
-                np.sum(mesh * mesh, axis=1)
-            )
-        table = h_normalized_table(max_degree, nodes)
-        tables = [table] * n
+    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    mesh, w = _tensor_mesh(nodes, weights, n)
+    if gaussian_quotient is not None:
+        gv = np.asarray(gaussian_quotient(mesh), dtype=float)
     else:
-        if support is None:
-            raise ValueError("legendre backend needs support=(lo, hi)")
-        lo = np.broadcast_to(np.asarray(support[0], dtype=float), (n,))
-        hi = np.broadcast_to(np.asarray(support[1], dtype=float), (n,))
-        if np.any(hi <= lo):
-            raise ValueError("support box must have positive extent")
-        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(order)
-        per_axis_nodes = [
-            0.5 * (hi[j] + lo[j]) + 0.5 * (hi[j] - lo[j]) * ref_nodes for j in range(n)
-        ]
-        per_axis_weights = [0.5 * (hi[j] - lo[j]) * ref_weights for j in range(n)]
-        grids = np.meshgrid(*per_axis_nodes, indexing="ij")
-        mesh = np.stack([g.reshape(-1) for g in grids], axis=-1)
-        w = np.ones(1)
-        for j in range(n):
-            w = np.multiply.outer(w, per_axis_weights[j]).reshape(-1)
-        gv = np.asarray(f(mesh), dtype=float)
-        tables = [h_normalized_table(max_degree, per_axis_nodes[j]) for j in range(n)]
-
+        gv = np.asarray(f(mesh), dtype=float) * np.exp(np.sum(mesh * mesh, axis=1))
     if gv.shape != (mesh.shape[0],):
         raise ValueError("f must map (m, n) points to m values")
-    dense = _contract(tables, w * gv, n, order)
+    table = h_normalized_table(max_degree, nodes)
+    dense = _contract(table, w * gv, n, order)
 
     coeffs: dict[tuple[int, ...], float] = {}
     for beta in total_degree_indices(n, max_degree):
@@ -276,24 +213,6 @@ def synthesize(c: SpectralCoefficients, x) -> float | np.ndarray:
     gauss = math.pi ** (-0.5 * c.n) * np.exp(-np.sum(pts * pts, axis=1))
     out = acc * gauss
     return out if x.ndim == 2 else float(out[0])
-
-
-def apply_frac_power(c: SpectralCoefficients, b: float) -> SpectralCoefficients:
-    """Negative power of the operator: c_beta -> (|beta| + n)^{-b} c_beta.
-
-    b = 0 is allowed and is the identity, which tests use as a sanity anchor.
-    """
-    if b < 0:
-        raise ValueError("the power must be non-negative")
-    coeffs = {
-        beta: value * (sum(beta) + c.n) ** (-b) for beta, value in c.coeffs.items()
-    }
-    return SpectralCoefficients(
-        n=c.n,
-        max_degree=c.max_degree,
-        coeffs=coeffs,
-        top_shell_fraction=_top_shell_fraction(coeffs, c.max_degree),
-    )
 
 
 def riesz_coefficient_factor(beta: MultiIndex, alpha: MultiIndex) -> float:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -31,12 +30,9 @@ from rieszlab.regions import _draw_pairs, sample_global_pairs, sample_local_pair
 
 __all__ = [
     "gamma_inv_ball_log",
-    "gamma_inv_measure",
-    "gamma_inv_measure_mc",
     "LevelSetReport",
     "level_set_report",
     "LemmaKernelSpec",
-    "lemma_kernel_eval",
     "lemma_kernel_batch",
     "near_diagonal_profile_integral",
     "window_gaussian_integral_log",
@@ -44,14 +40,12 @@ __all__ = [
     "bound_ratio_sweep",
     "BOUND_REGISTRY",
     "resolve_registry_key",
-    "run_bound_sweep",
     "run_all_bound_sweeps",
     "CZLocalResult",
     "czlocal_supremum",
     "QuasinormProbe",
     "weak_quasinorm_probe",
     "rank_one_quasinorm_exact",
-    "rank_one_growth_probe",
     "CounterexampleConfig",
     "CounterexampleResult",
     "counterexample_expectation",
@@ -167,106 +161,6 @@ def _log_radial_ball_measure(n: int, t: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):
             return 2.0 * _LOG_PI + t * t + np.log(-np.expm1(-t * t))
     raise NotImplementedError("closed-form radial measure implemented for n <= 2")
-
-
-def gamma_inv_measure(
-    n: int,
-    member: Callable[[np.ndarray], np.ndarray],
-    box,
-    resolution: int = 256,
-    warn_tol: float = 0.01,
-) -> LogScaled:
-    """Measure of {member} inside the bounding box by midpoint masking.
-
-    Runs at the given resolution and at double resolution; when the two
-    disagree by more than warn_tol relatively, a resolution warning is
-    emitted.  The doubled-resolution value is returned.
-    """
-    box = np.asarray(box, dtype=float).reshape(n, 2)
-    if np.any(box[:, 1] <= box[:, 0]):
-        raise ValueError("box must have positive extent on every axis")
-
-    def run(res: int) -> LogScaled:
-        axes, logdx = [], 0.0
-        for j in range(n):
-            lo, hi = box[j]
-            dx = (hi - lo) / res
-            axes.append(lo + dx * (np.arange(res) + 0.5))
-            logdx += math.log(dx)
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
-        mask = np.asarray(member(pts), dtype=bool)
-        if not np.any(mask):
-            return LogScaled.zero()
-        live = pts[mask]
-        logs = 0.5 * n * _LOG_PI + np.sum(live * live, axis=1) + logdx
-        sgn, lm = signed_logsumexp(logs[None, :], axis=1)
-        return LogScaled.from_log(float(lm[0]), int(sgn[0]))
-
-    coarse = run(resolution)
-    fine = run(2 * resolution)
-    if fine.sign != 0 and coarse.sign != 0:
-        drift = abs(math.expm1(coarse.logmag - fine.logmag))
-    else:
-        drift = 0.0 if fine.sign == coarse.sign else 1.0
-    if drift > warn_tol:
-        warnings.warn(
-            f"measure moved by {drift:.2%} when doubling resolution "
-            f"{resolution}; increase resolution",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return fine
-
-
-def gamma_inv_measure_mc(
-    n: int,
-    member: Callable[[np.ndarray], np.ndarray],
-    box,
-    samples: int = 200_000,
-    rng: np.random.Generator | None = None,
-    table: int = 4096,
-) -> tuple[LogScaled, float]:
-    """Monte-Carlo measure with importance density proportional to e^{x^2}
-    per coordinate; returns (measure, relative standard error).
-
-    This is the estimator of record for n = 3, where tensor grids at useful
-    resolutions do not fit.
-    """
-    rng = rng or np.random.default_rng(0)
-    box = np.asarray(box, dtype=float).reshape(n, 2)
-    pts = np.empty((samples, n))
-    log_density = np.zeros(samples)
-    log_z_total = 0.0
-    for j in range(n):
-        lo, hi = box[j]
-        edges = np.linspace(lo, hi, table + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        dx = (hi - lo) / table
-        cell_logw = mids * mids + math.log(dx)
-        shift = float(np.max(cell_logw))
-        probs = np.exp(cell_logw - shift)
-        log_z = shift + math.log(float(np.sum(probs)))
-        probs /= np.sum(probs)
-        idx = rng.choice(table, size=samples, p=probs)
-        u = rng.uniform(size=samples)
-        x = edges[idx] + u * dx
-        pts[:, j] = x
-        # density within cell idx is exp(mid^2)/Z_axis; weight = e^{x^2}/density
-        log_density += mids[idx] * mids[idx] - log_z
-        log_z_total += log_z
-    mask = np.asarray(member(pts), dtype=bool)
-    if not np.any(mask):
-        return LogScaled.zero(), 0.0
-    log_weights = np.where(
-        mask, np.sum(pts * pts, axis=1) - log_density, -np.inf
-    )
-    shift = float(np.max(log_weights))
-    w = np.exp(log_weights - shift)
-    mean = float(np.mean(w))
-    se = float(np.std(w) / math.sqrt(samples))
-    log_value = 0.5 * n * _LOG_PI + shift + math.log(mean)
-    return LogScaled.from_log(log_value, 1), se / mean
 
 
 # --------------------------------------------------------------------------
@@ -581,14 +475,6 @@ def lemma_kernel_batch(spec: LemmaKernelSpec, x, Y) -> np.ndarray:
             - spec.delta * yperp_sq * x_norm / np.maximum(dpar, 1e-300)
         )
     return np.where(mask, vals, -np.inf)
-
-
-def lemma_kernel_eval(spec: LemmaKernelSpec, x, y) -> LogScaled:
-    """Single-pair kernel value as a log-scaled number."""
-    lm = float(lemma_kernel_batch(spec, x, np.atleast_2d(y))[0])
-    if lm == -math.inf:
-        return LogScaled.zero()
-    return LogScaled.from_log(lm, 1)
 
 
 def near_diagonal_profile_integral(n: int, mu: float, nu: float, X, Y) -> np.ndarray:
@@ -1098,11 +984,6 @@ def resolve_registry_key(key: str) -> str:
     raise KeyError(f"no registered bound named {key!r}")
 
 
-def run_bound_sweep(key: str, count: int = 384, seed: int = 7) -> SweepResult:
-    spec = BOUND_REGISTRY[resolve_registry_key(key)]
-    return spec.runner(count, seed)
-
-
 def run_all_bound_sweeps(
     keys: Sequence[str] | None = None, count: int = 384, seed: int = 7
 ) -> dict[str, SweepResult]:
@@ -1327,22 +1208,6 @@ def weak_quasinorm_probe(
         log_max=float(np.max(logs)),
         metadata=meta,
     )
-
-
-def rank_one_growth_probe(
-    spec: LemmaKernelSpec, t_mins: Sequence[float], center=1.5, rho: float = 0.25
-) -> np.ndarray:
-    """Quasi-norm estimates at a sequence of inner evaluation cutoffs.
-
-    Inside the hypotheses the values saturate as the cutoff shrinks; with
-    mu > n they grow like t_min^{n-mu}, the numerical signature of
-    unboundedness.
-    """
-    out = []
-    for tm in t_mins:
-        probe = weak_quasinorm_probe(spec, [center], rho=rho, t_min=tm)
-        out.append(probe.log_max)
-    return np.asarray(out)
 
 
 # --------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from rieszlab.apply import (
 )
 from rieszlab.hermite import gamma_h
 from rieszlab.kernels import riesz_kernel
-from rieszlab.quadrature import NonConvergenceError, QuadratureConfig
+from rieszlab.quadrature import NonConvergenceError
 
 RADIUS = 8.5
 
@@ -164,15 +164,6 @@ class TestClearancePath:
         want, err = quad(integrand, -RADIUS, RADIUS, limit=300, epsrel=1e-11)
         assert err <= 1e-9 * abs(want)
         assert abs(got.sign * math.exp(got.logmag + shift) - want) <= 1e-9 * abs(want)
-
-    def test_tight_tolerance_config_agrees(self):
-        f = gaussian_fn(1)
-        alpha = MultiIndex.of(1)
-        x = np.array([9.5])
-        base = apply_riesz_log(alpha, f, x)
-        fine = apply_riesz_log(alpha, f, x, cfg=QuadratureConfig(rel_tol=1e-13))
-        assert base.sign == fine.sign
-        assert abs(base.logmag - fine.logmag) <= 1e-6
 
 
 class TestLadderFailure:

@@ -65,6 +65,16 @@ class TestKernelCommand:
         assert code == 2
         assert "diagonal" in err
 
+    def test_non_finite_point_rejected(self, capsys):
+        # refused before any quadrature runs, so the exit is immediate
+        for bad in ("nan", "inf"):
+            code, out, err = run(
+                capsys, "kernel", "--alpha", "1,0", "--x", "0.2,0.1", "--y", f"{bad},0"
+            )
+            assert code == 2
+            assert "finite" in err
+            assert out == ""
+
     def test_bad_alpha(self, capsys):
         code, _, err = run(
             capsys, "kernel", "--alpha", "a,b", "--x", "0.5", "--y", "1.0"

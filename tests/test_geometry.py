@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from rieszlab.geometry import MultiIndex, decompose, identity_residuals
+from rieszlab.geometry import MultiIndex, identity_residuals
+from rieszlab.weaktype import _polar_batch
 
 
 def test_multiindex_validation():
@@ -54,27 +55,30 @@ def test_log_factorial_ratio_large_entries():
 
 
 def test_decompose_reconstruction():
+    # the row-wise split of y along the ray through x that every kernel
+    # bound uses: r0 x + y_perp = y with y_perp orthogonal to x
     rng = np.random.default_rng(9)
-    for _ in range(200):
-        n = int(rng.integers(1, 4))
-        x = rng.normal(size=n)
-        while np.linalg.norm(x) < 1e-3:
-            x = rng.normal(size=n)
-        y = rng.normal(size=n) * math.exp(rng.uniform(-2, 2))
-        d = decompose(x, y)
-        np.testing.assert_allclose(d.y_parallel + d.y_perp, y, atol=1e-12)
-        assert abs(float(np.dot(d.y_perp, x))) < 1e-10
-        np.testing.assert_allclose(d.y_parallel, d.r0 * x, atol=1e-12)
-        assert 0.0 <= d.theta <= math.pi
-        # r0 recovers the projection coefficient
-        assert d.r0 == pytest.approx(float(np.dot(x, y)) / float(np.dot(x, x)))
+    for n in (1, 2, 3):
+        X = rng.normal(size=(200, n))
+        X[np.linalg.norm(X, axis=1) < 1e-3] += 0.5
+        Y = rng.normal(size=(200, n)) * np.exp(rng.uniform(-2, 2, size=(200, 1)))
+        r0, yperp_sq, sin_theta, y_norm = _polar_batch(X, Y)
+        want_r0 = np.sum(X * Y, axis=1) / np.sum(X * X, axis=1)
+        np.testing.assert_allclose(r0, want_r0, rtol=1e-12)
+        y_perp = Y - r0[:, None] * X
+        assert np.all(np.abs(np.sum(y_perp * X, axis=1)) < 1e-10)
+        np.testing.assert_allclose(yperp_sq, np.sum(y_perp * y_perp, axis=1), atol=1e-10)
+        np.testing.assert_allclose(y_norm, np.linalg.norm(Y, axis=1), rtol=1e-14)
+        assert np.all((0.0 <= sin_theta) & (sin_theta <= 1.0 + 1e-12))
+        np.testing.assert_allclose(sin_theta * y_norm, np.sqrt(yperp_sq), atol=1e-10)
 
 
 def test_decompose_degenerate_inputs():
     with pytest.raises(ValueError):
-        decompose(np.zeros(2), np.ones(2))
-    d = decompose(np.array([1.0, 0.0]), np.zeros(2))
-    assert d.theta == 0.0 and d.r0 == 0.0
+        _polar_batch(np.array([[1.0, 0.0], [0.0, 0.0]]), np.ones((2, 2)))
+    r0, yperp_sq, sin_theta, y_norm = _polar_batch(np.array([[1.0, 0.0]]), np.zeros((1, 2)))
+    assert r0[0] == 0.0 and yperp_sq[0] == 0.0
+    assert sin_theta[0] == 0.0 and y_norm[0] == 0.0
 
 
 def test_identity_residuals_tiny():

@@ -12,7 +12,6 @@ from rieszlab.hermite import (
     h_normalized,
     h_normalized_table,
     hermite1d,
-    hermite1d_table,
     hermite_multi,
     inv_gauss_density,
     log_h_norm_const,
@@ -46,7 +45,7 @@ def test_hermite1d_matches_explicit_polynomials():
 def test_three_term_recurrence():
     rng = np.random.default_rng(8)
     s = rng.uniform(-5, 5, size=64)
-    table = hermite1d_table(32, s)
+    table = np.stack([hermite1d(k, s) for k in range(33)])
     for k in range(1, 31):
         lhs = table[k + 1]
         rhs = 2.0 * s * table[k] - 2.0 * k * table[k - 1]
@@ -54,10 +53,13 @@ def test_three_term_recurrence():
 
 
 def test_tables_match_scalar_path():
+    # the rescaled recurrence against 2^{-k/2} (k!)^{-1/2} H_k
     s = np.linspace(-3, 3, 11)
-    table = hermite1d_table(6, s)
+    table = h_normalized_table(6, s)
     for k in range(7):
-        np.testing.assert_allclose(table[k], hermite1d(k, s), rtol=1e-13)
+        np.testing.assert_allclose(
+            table[k], h_normalized(MultiIndex.of(k), s[:, None]), rtol=1e-13, atol=1e-15
+        )
 
 
 def test_normalized_orthonormality_via_gauss_hermite():

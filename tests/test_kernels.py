@@ -1,15 +1,13 @@
-"""Heat, fractional-power, and transform kernels against closed forms."""
+"""Heat and transform kernels against closed forms."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from rieszlab.geometry import MultiIndex
 from rieszlab.hermite import gamma_h
 from rieszlab.kernels import (
-    frac_power_kernel,
     heat_kernel,
     riesz_integrand,
     riesz_kernel,
@@ -60,18 +58,6 @@ def test_heat_eigenrelation():
         )
         rhs = math.exp(-t * lam) * gamma_h(beta, np.array([x])).to_float()
         assert lhs == pytest.approx(rhs, rel=1e-10)
-
-
-def test_frac_power_matches_heat_time_integral():
-    # order-1 negative power = time integral of the heat kernel
-    x, y = np.array([0.6]), np.array([-0.4])
-    direct = frac_power_kernel(1.0, x, y).to_float()
-    oracle, _ = quad(lambda t: heat_kernel(t, x, y).to_float(), 0.0, 60.0, limit=200)
-    assert direct == pytest.approx(oracle, rel=1e-10)
-    with pytest.raises(ValueError):
-        frac_power_kernel(0.5, x, x)  # 2b = n diverges on the diagonal
-    with pytest.raises(ValueError):
-        frac_power_kernel(0.0, x, y)
 
 
 def test_riesz_kernel_input_validation():
@@ -197,6 +183,21 @@ def test_batch_kernel_rejects_undefined_inputs():
             riesz_kernel_batch(alpha, X, Y)
         with pytest.raises(ValueError, match="finite"):
             riesz_kernel_batch(alpha, Y, X)
+
+
+def test_scalar_kernels_reject_non_finite_inputs():
+    # a NaN or inf coordinate must raise at once, before any quadrature
+    alpha = MultiIndex.of(1, 0)
+    x = np.array([0.2, 0.1])
+    for bad in (math.nan, math.inf, -math.inf):
+        y = np.array([bad, 0.0])
+        for a, b in ((x, y), (y, x)):
+            with pytest.raises(ValueError, match="finite"):
+                riesz_kernel(alpha, a, b)
+            with pytest.raises(ValueError, match="finite"):
+                heat_kernel(0.4, a, b)
+        with pytest.raises(ValueError, match="finite"):
+            heat_kernel(bad, x, x + 0.1)
 
 
 def test_kernel_value_diagnostics():

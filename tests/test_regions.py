@@ -5,16 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from rieszlab.logscaled import LogScaled
 from rieszlab.regions import (
     chi,
     chi_batch,
-    grad_chi,
     in_N,
     membership_u,
     sample_global_pairs,
     sample_local_pairs,
-    split_kernel,
 )
 
 
@@ -51,50 +48,6 @@ def test_chi_batch_matches_scalar():
     batch = chi_batch(x, Y)
     for i in range(40):
         assert batch[i] == pytest.approx(chi(x, Y[i]), rel=1e-13, abs=1e-13)
-
-
-def test_grad_chi_matches_finite_differences():
-    rng = np.random.default_rng(25)
-    h = 1e-6
-    found_shell = 0
-    while found_shell < 25:
-        n = int(rng.integers(1, 4))
-        x = rng.uniform(-3, 3, size=n)
-        y = x + rng.normal(size=n) * 0.4
-        u = membership_u(x, y)
-        if not 1.05 < u < 1.95:
-            continue
-        found_shell += 1
-        gx, gy = grad_chi(x, y)
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = h
-            fd_x = (chi(x + e, y) - chi(x - e, y)) / (2 * h)
-            fd_y = (chi(x, y + e) - chi(x, y - e)) / (2 * h)
-            assert gx[j] == pytest.approx(fd_x, rel=1e-5, abs=1e-7)
-            assert gy[j] == pytest.approx(fd_y, rel=1e-5, abs=1e-7)
-
-
-def test_grad_chi_vanishes_off_the_shell():
-    gx, gy = grad_chi(np.array([0.1]), np.array([0.15]))
-    assert np.all(gx == 0.0) and np.all(gy == 0.0)
-    gx, gy = grad_chi(np.array([3.0]), np.array([-3.0]))
-    assert np.all(gx == 0.0) and np.all(gy == 0.0)
-
-
-def test_split_kernel_reassembles():
-    def kernel(x, y):
-        return LogScaled.from_float(2.5)
-
-    rng = np.random.default_rng(27)
-    for _ in range(50):
-        x = rng.uniform(-2, 2, size=2)
-        y = x + rng.normal(size=2) * 0.5
-        loc, glob = split_kernel(kernel, x, y)
-        total = (loc.to_float() if loc.sign else 0.0) + (
-            glob.to_float() if glob.sign else 0.0
-        )
-        assert total == pytest.approx(2.5, rel=1e-12)
 
 
 def test_local_sampler_properties():

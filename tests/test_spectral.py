@@ -10,7 +10,6 @@ from rieszlab.hermite import gamma_h, h_normalized
 from rieszlab.spectral import (
     SpectralCoefficients,
     analyze,
-    apply_frac_power,
     apply_riesz_spectral,
     l2_norm_bound,
     orthonormality_defect,
@@ -73,20 +72,6 @@ def test_analyze_pointwise_quotient_matches_explicit():
         )
 
 
-def test_analyze_legendre_backend_agrees():
-    terms = [(1.0, MultiIndex.of(2))]
-    f, quotient = _mixture_evaluator(1, terms)
-    hermite = analyze(f, 1, max_degree=5, gaussian_quotient=quotient)
-    legendre = analyze(
-        f, 1, max_degree=5, order=160, backend="legendre",
-        support=(np.array([-8.5]), np.array([8.5])),
-    )
-    for beta in total_degree_indices(1, 5):
-        assert legendre.coefficient(beta) == pytest.approx(
-            hermite.coefficient(beta), abs=1e-9
-        )
-
-
 def test_analyze_warns_when_truncation_is_tight():
     terms = [(1.0, MultiIndex.of(6))]
     f, quotient = _mixture_evaluator(1, terms)
@@ -103,25 +88,11 @@ def test_synthesize_round_trip():
     np.testing.assert_allclose(synthesize(c, pts), f(pts), atol=1e-12)
 
 
-def test_coefficients_validation_and_text_round_trip():
+def test_coefficients_validation():
     with pytest.raises(ValueError):
         SpectralCoefficients(n=1, max_degree=1, coeffs={(2,): 1.0})
     with pytest.raises(ValueError):
         SpectralCoefficients(n=1, max_degree=1, coeffs={(0, 0): 1.0})
-    c = SpectralCoefficients(n=2, max_degree=2, coeffs={(1, 1): -0.25, (0, 0): 2.0})
-    back = SpectralCoefficients.from_text(c.to_text())
-    assert back.n == 2 and back.coeffs == c.coeffs
-
-
-def test_apply_frac_power_scalings():
-    c = SpectralCoefficients(n=1, max_degree=3, coeffs={(0,): 1.0, (3,): 2.0})
-    same = apply_frac_power(c, 0.0)
-    assert same.coeffs == c.coeffs
-    half = apply_frac_power(c, 0.5)
-    assert half.coefficient((0,)) == pytest.approx(1.0)
-    assert half.coefficient((3,)) == pytest.approx(2.0 / 2.0)  # (3+1)^{-1/2} = 1/2
-    with pytest.raises(ValueError):
-        apply_frac_power(c, -1.0)
 
 
 def test_derivative_ladder_sign_and_magnitude():
