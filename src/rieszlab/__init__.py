@@ -4,7 +4,7 @@ quadrature, and weak-type (1,1) probes."""
 
 from rieszlab.logscaled import LogScaled, log_sum
 from rieszlab.geometry import MultiIndex, identity_residuals
-from rieszlab.quadrature import NonConvergenceError, QuadratureConfig, integrate01
+from rieszlab.quadrature import NonConvergenceError
 from rieszlab.hermite import gamma_h, gauss_density, h_normalized, inv_gauss_density
 from rieszlab.kernels import (
     KernelValue,
@@ -48,8 +48,6 @@ __all__ = [
     "MultiIndex",
     "identity_residuals",
     "NonConvergenceError",
-    "QuadratureConfig",
-    "integrate01",
     "gamma_h",
     "gauss_density",
     "h_normalized",

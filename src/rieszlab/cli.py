@@ -108,22 +108,19 @@ def _resolve_config(args) -> dict:
 # kernel tables
 
 
-def _kernel_rows(alpha: MultiIndex, pairs, form: str):
-    forms = ("direct", "factored") if form == "both" else (form,)
+def _kernel_rows(alpha: MultiIndex, pairs):
     rows = []
     for x, y in pairs:
-        for f in forms:
-            kv = riesz_kernel(alpha, x, y, form=f)
-            rows.append(
-                (
-                    ",".join(f"{v:.12g}" for v in x),
-                    ",".join(f"{v:.12g}" for v in y),
-                    kv.form,
-                    f"{kv.value.logmag:.12e}",
-                    f"{kv.value.sign:+d}",
-                    f"subdivisions={kv.subdivisions} err_log={kv.err_logmag:.3e}",
-                )
+        kv = riesz_kernel(alpha, x, y)
+        rows.append(
+            (
+                ",".join(f"{v:.12g}" for v in x),
+                ",".join(f"{v:.12g}" for v in y),
+                f"{kv.value.logmag:.12e}",
+                f"{kv.value.sign:+d}",
+                f"subdivisions={kv.subdivisions} err_log={kv.err_logmag:.3e}",
             )
+        )
     return rows
 
 
@@ -157,12 +154,8 @@ def cmd_kernel(args) -> int:
         pairs = [(_parse_vector(args.x), _parse_vector(args.y))]
         if pairs[0][0].size != n or pairs[0][1].size != n:
             raise ValueError("point dimension must match n")
-    for x, y in pairs:
-        if float(np.linalg.norm(x - y)) == 0.0:
-            print("kernel undefined on the diagonal x = y", file=sys.stderr)
-            return EXIT_INPUT
-    rows = _kernel_rows(alpha, pairs, args.form)
-    print("x;y;form;log_value;sign;diagnostics")
+    rows = _kernel_rows(alpha, pairs)
+    print("x;y;log_value;sign;diagnostics")
     for row in rows:
         print(";".join(row))
     return EXIT_OK
@@ -419,12 +412,6 @@ def _build_parser() -> argparse.ArgumentParser:
     k.add_argument("--x", help="evaluation point, comma-separated")
     k.add_argument("--y", help="second point, comma-separated")
     k.add_argument("--batch", help="file of 'x1,..;y1,..' pairs")
-    k.add_argument(
-        "--form",
-        default="auto",
-        choices=("direct", "factored", "both", "auto"),
-        help="integral form to evaluate",
-    )
     k.set_defaults(func=cmd_kernel)
 
     c = sub.add_parser("counterexample", help="tube growth experiment")

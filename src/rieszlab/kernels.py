@@ -1,17 +1,14 @@
 """Heat and Riesz-transform kernels of the inverse-Gaussian Laplacian,
 evaluated off the diagonal in the log domain.
 
-All kernels are one-dimensional integrals over r in (0, 1) after the change
-of variable r = e^{-t}.  Two algebraically equal forms of the Riesz integrand
-are kept:
+The Riesz kernel of order alpha is the one-dimensional integral
 
-  direct    ... H_alpha(u) exp(-|x - r y|^2 / (1 - r^2)),
-  factored  ... H_alpha(u) exp(-|r x - y|^2 / (1 - r^2)),
+  K(x, y) = c_alpha int_0^1 r^{n-1} (-log r)^{|alpha|/2 - 1} (1 - r^2)^{-(n+|alpha|)/2}
+                    H_alpha(u) exp(-|u|^2) dr,    u = (x - r y)/sqrt(1 - r^2),
 
-with u = (x - r y)/sqrt(1 - r^2); the factored form carries the constant
-exp(-|x|^2 + |y|^2) outside the integral.  The direct form is the default on
-the near-diagonal region, the factored one in the global region where the
-outside constant is the quantity of interest.
+with c_alpha = (-1)^|alpha| / (Gamma(|alpha|/2) pi^{n/2}).  `riesz_kernel`
+evaluates one pair by adaptive quadrature with an error estimate;
+`riesz_kernel_batch` evaluates many pairs on a fixed composite rule.
 """
 
 from __future__ import annotations
@@ -23,29 +20,30 @@ from functools import lru_cache
 import numpy as np
 
 from rieszlab.geometry import MultiIndex
-from rieszlab.hermite import hermite1d, hermite_multi
-from rieszlab.logscaled import LogScaled, log_sum, signed_logsumexp
-from rieszlab.quadrature import QuadratureConfig, integrate01_with_info
-from rieszlab.regions import in_N
+from rieszlab.hermite import hermite1d
+from rieszlab.logscaled import LogScaled, signed_logsumexp
+from rieszlab.quadrature import NonConvergenceError
 
 __all__ = [
     "KernelValue",
     "heat_kernel",
-    "riesz_integrand",
     "riesz_kernel",
     "riesz_kernel_batch",
 ]
 
-FORMS = ("direct", "factored")
-
-# default splitting point between the two endpoint substitutions
-_SPLIT = 0.5
+# QUADPACK subinterval budget and the absolute tolerance relative to a
+# coarse integral of |integrand|; a purely relative tolerance fails with a
+# round-off error on integrals that cancel, such as n = 1 with an even order
+# near the diagonal
+_QUAD_LIMIT = 200
+_QUAD_TOL = 1e-10
+# Gauss-Legendre nodes per breakpoint interval of the coarse |integrand| rule
+_COARSE_RULE = np.polynomial.legendre.leggauss(16)
 
 
 @dataclass(frozen=True)
 class KernelValue:
     value: LogScaled
-    form: str
     subdivisions: int
     err_logmag: float
 
@@ -72,47 +70,6 @@ def heat_kernel(t: float, x: np.ndarray, y: np.ndarray) -> LogScaled:
     return LogScaled.from_log(logmag)
 
 
-def _log_one_minus_r2(r: float) -> float:
-    return math.log1p(-r) + math.log1p(r)
-
-
-def riesz_integrand(
-    alpha: MultiIndex, r: float, x: np.ndarray, y: np.ndarray, form: str = "direct"
-) -> LogScaled:
-    """Integrand of the Riesz kernel at radius r, without the constant
-    prefactor; the factored form also omits the outside exp(-|x|^2 + |y|^2).
-
-    At any fixed r the direct and factored values differ exactly by that
-    constant."""
-    if form not in FORMS:
-        raise ValueError(f"unknown form {form!r}")
-    if not 0.0 < r < 1.0:
-        raise ValueError("r must lie strictly inside (0, 1)")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = x.size
-    order = alpha.order
-    one_m_r2 = (1.0 - r) * (1.0 + r)
-    scale = math.sqrt(one_m_r2)
-    u = (x - r * y) / scale
-    if form == "direct":
-        exponent = -float(np.dot(u, u))
-    else:
-        w = r * x - y
-        exponent = -float(np.dot(w, w)) / one_m_r2
-    h = hermite_multi(alpha, u)
-    if h == 0.0:
-        return LogScaled.zero()
-    logmag = (
-        (n - 1) * math.log(r)
-        + (0.5 * order - 1.0) * math.log(-math.log(r))
-        - 0.5 * (n + order) * _log_one_minus_r2(r)
-        + math.log(abs(h))
-        + exponent
-    )
-    return LogScaled.from_log(logmag, 1 if h > 0 else -1)
-
-
 def _riesz_prefactor(n: int, order: int) -> LogScaled:
     sign = -1 if order % 2 else 1
     return LogScaled.from_log(
@@ -120,20 +77,59 @@ def _riesz_prefactor(n: int, order: int) -> LogScaled:
     )
 
 
-def riesz_kernel(
-    alpha: MultiIndex,
-    x: np.ndarray,
-    y: np.ndarray,
-    form: str = "auto",
-    cfg: QuadratureConfig | None = None,
-) -> KernelValue:
+def _log_integrand(
+    alpha: MultiIndex, x: np.ndarray, y: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(sign, log|integrand|) at r = 1 - w for an array of w in (0, 1).
+
+    In w, 1 - r^2 = w (2 - w) and x - r y = (x - y) + w y keep full
+    precision near the diagonal, where the mass sits at w ~ |x - y|^2."""
+    n, order = x.size, alpha.order
+    one_m_r2 = w * (2.0 - w)
+    u = (np.multiply.outer(y, w) + (x - y)[:, None]) / np.sqrt(one_m_r2)
+    h = np.ones_like(w)
+    for k, uj in zip(alpha, u):
+        if k:
+            h = h * hermite1d(k, uj)
+    with np.errstate(divide="ignore"):
+        logmag = (
+            (n - 1) * np.log1p(-w)
+            + (0.5 * order - 1.0) * np.log(-np.log1p(-w))
+            - 0.5 * (n + order) * np.log(one_m_r2)
+            - (u * u).sum(axis=0)
+            + np.log(np.abs(h))
+        )
+    return np.sign(h), logmag
+
+
+def _breakpoints(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """w* = 1 - r* for the minimiser r* of |x - r y|^2/(1 - r^2), and
+    min(w*, 1/2) 4^k for k = -12..12, inside (0, 1)."""
+    d = float(np.linalg.norm(x - y))
+    t = float(np.linalg.norm(x + y))
+    s = float(x @ x + y @ y)
+    # r* = 2 x.y/(s + d t), and s - 2 x.y = d^2 gives 1 - r* without cancellation
+    w_star = d * (d + t) / (s + d * t) if float(x @ y) > 0.0 else 1.0
+    pts = {w_star} | {min(w_star, 0.5) * 4.0**k for k in range(-12, 13)}
+    return np.array(sorted(p for p in pts if 0.0 < p < 1.0))
+
+
+def riesz_kernel(alpha: MultiIndex, x: np.ndarray, y: np.ndarray) -> KernelValue:
     """Riesz-transform kernel of order alpha at an off-diagonal pair.
 
-    form "auto" picks direct on the near-diagonal region (scale-2 local set)
-    and factored in the global region.  The two forms agree to quadrature
-    tolerance; only the bookkeeping of the outside constant differs.  A
-    non-finite x or y raises ValueError.
+    One QUADPACK integration (scipy.integrate.quad) in w = 1 - r, with
+    breakpoints from `_breakpoints`, the integrand shifted by its largest
+    log value over the breakpoints and a coarse rule, and an absolute
+    tolerance of 1e-10 times the coarse integral of |integrand|.
+    subdivisions and err_logmag report QUADPACK's subinterval count and
+    error estimate.  Against the 48 mpmath references of
+    `bench/oracle_pairs.json` (separations 1e-6 to 1e-1) the error is at
+    most 1e-12 of the prefactor times the integral of |integrand|.  A
+    failure of the integrator raises NonConvergenceError; a diagonal pair
+    or a non-finite x or y raises ValueError.
     """
+    from scipy.integrate import quad
+
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if alpha.dim != x.size or x.size != y.size:
@@ -144,28 +140,40 @@ def riesz_kernel(
         raise ValueError("kernel needs finite x and y")
     if float(np.linalg.norm(x - y)) == 0.0:
         raise ValueError("kernel undefined on the diagonal")
-    if form == "auto":
-        form = "direct" if in_N(2.0, x, y) else "factored"
-    if form not in FORMS:
-        raise ValueError(f"unknown form {form!r}")
-    cfg = cfg or QuadratureConfig()
+    pts = _breakpoints(x, y)
+    edges = np.concatenate(([0.0], pts, [1.0]))
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * _COARSE_RULE[0]).ravel()
+    weights = (half[:, None] * _COARSE_RULE[1]).ravel()
+    _, logs = _log_integrand(alpha, x, y, np.concatenate((pts, nodes)))
+    shift = float(logs.max())
+    mass = float(weights @ np.exp(logs[pts.size :] - shift))
 
-    def f(r: float) -> LogScaled:
-        return riesz_integrand(alpha, r, x, y, form)
+    def g(w: float) -> float:
+        sign, logmag = _log_integrand(alpha, x, y, np.array([w]))
+        return float(sign[0] * math.exp(logmag[0] - shift))
 
-    left, info_l = integrate01_with_info(f, cfg.with_substitution("neg_log"), 0.0, _SPLIT)
-    right, info_r = integrate01_with_info(
-        f, cfg.with_substitution("one_minus_exp"), _SPLIT, 1.0
+    value, err, info, *failure = quad(
+        g,
+        0.0,
+        1.0,
+        points=pts,
+        limit=_QUAD_LIMIT,
+        epsabs=_QUAD_TOL * mass,
+        epsrel=0.0,
+        full_output=1,
     )
-    total = _riesz_prefactor(x.size, alpha.order) * log_sum([left, right])
-    if form == "factored":
-        total = total * LogScaled.from_log(-float(np.dot(x, x)) + float(np.dot(y, y)))
-    return KernelValue(
-        value=total,
-        form=form,
-        subdivisions=info_l.subdivisions + info_r.subdivisions,
-        err_logmag=max(info_l.err_logmag, info_r.err_logmag),
-    )
+    pref = _riesz_prefactor(x.size, alpha.order)
+    err_logmag = math.log(err) + shift + pref.logmag if err > 0 else -math.inf
+    if failure:
+        raise NonConvergenceError(
+            f"quad gave up after {info['last']} subintervals: {failure[0]}",
+            subdivisions=info["last"],
+            err_logmag=err_logmag,
+        )
+    total = LogScaled.from_float(value) * LogScaled.from_log(shift) * pref
+    return KernelValue(value=total, subdivisions=info["last"], err_logmag=err_logmag)
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +246,15 @@ def riesz_kernel_batch(
 
     Returns
     -------
-    (signs, logmags) arrays of shape (m,).  Against a 30-digit mpmath
-    quadrature of the same r-integral, on 48 seeded n = 2 pairs of orders
-    1-4 (`bench/oracle_pairs.json`), the error relative to the prefactor
-    times the integral of |integrand| is at most 1.2e-8 at separations of
-    1e-3 and above and 2.9e-7 down to 2.3e-4; below that the fixed rule is
-    unconverged, with 18 of 25 pairs off by more than 1e-6 and the worst
-    by 3.1e-4 (alpha (2,2) at separation 3.8e-5).
+    (signs, logmags) arrays of shape (m,).  Errors are relative to the
+    prefactor times the integral of |integrand|.  Against `riesz_kernel`
+    on 160 seeded pairs (n = 1 and 2, orders 1-5, |x| from 0.2 to 8,
+    separations log-uniform from 1e-3 to 1e-1) the error is at most 3e-7;
+    it peaks near separation 3e-3, not at 1e-3.  Against the 30-digit
+    mpmath references of `bench/oracle_pairs.json` (48 seeded n = 2 pairs,
+    orders 1-4) it is at most 2.9e-7 down to separation 2.3e-4; below
+    that the fixed rule is unconverged, with 18 of 25 pairs off by more
+    than 1e-6 and the worst by 3.1e-4 (alpha (2,2) at separation 3.8e-5).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))

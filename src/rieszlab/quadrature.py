@@ -1,235 +1,19 @@
-"""Adaptive Gauss-Legendre integration on (0, 1) for log-scaled integrands.
-
-Integrands of interest concentrate at one endpoint of (0, 1) and decay like
-exp(-n t) or exp(-c e^v) after the substitutions t = -log r (left endpoint)
-or v = -log(1 - r) (right endpoint).  The engine maps the interval through
-the chosen substitution, covers an infinite image with geometrically grown
-segments, and bisects the worst panel until the summed panel-error estimate
-meets the tolerance.  All panel sums are signed log-sum-exp reductions, so
-magnitudes like exp(800) never materialize.
-"""
+"""The error raised when a numerical integral cannot meet its tolerance."""
 
 from __future__ import annotations
 
-import heapq
-import math
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable
-
-import numpy as np
-
-from rieszlab.logscaled import LogScaled, log_sum
-
-__all__ = [
-    "SUBSTITUTIONS",
-    "QuadratureConfig",
-    "IntegrationInfo",
-    "NonConvergenceError",
-    "integrate01",
-    "integrate01_with_info",
-]
-
-SUBSTITUTIONS = ("identity", "neg_log", "one_minus_exp")
-
-# image of an infinite endpoint is covered out to this coordinate; the
-# integrands this engine sees decay at least like exp(-t) there, so the
-# dropped tail is below exp(-800) relative to the covered part
-_TAIL_LIMIT = 800.0
-# stop extending tail segments once they fall this far (in log) below the peak
-_TAIL_DROP = 60.0
-_PANEL_ORDER = 15
+__all__ = ["NonConvergenceError"]
 
 
 class NonConvergenceError(RuntimeError):
-    """Raised when the subdivision limit is hit before the tolerance."""
+    """Raised when an integral or extrapolation misses its tolerance.
+
+    subdivisions is the work spent (subintervals or ladder levels) and
+    err_logmag the log of the last error estimate, on the scale of the
+    quantity being computed.
+    """
 
     def __init__(self, message: str, subdivisions: int, err_logmag: float):
         super().__init__(message)
         self.subdivisions = subdivisions
         self.err_logmag = err_logmag
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-280
-    max_subdivisions: int = 2000
-    substitution: str = "identity"
-
-    def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
-        if self.substitution not in SUBSTITUTIONS:
-            raise ValueError(f"unknown substitution {self.substitution!r}")
-
-    def with_substitution(self, substitution: str) -> "QuadratureConfig":
-        return QuadratureConfig(self.rel_tol, self.abs_tol, self.max_subdivisions, substitution)
-
-
-@dataclass(frozen=True)
-class IntegrationInfo:
-    subdivisions: int
-    err_logmag: float
-    converged: bool
-
-
-@lru_cache(maxsize=8)
-def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return nodes, weights
-
-
-def _panel_value(g: Callable[[float], LogScaled], a: float, b: float) -> LogScaled:
-    nodes, weights = _gl_nodes(_PANEL_ORDER)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    if half <= 0.0:
-        return log_sum([])
-    terms = []
-    for t, w in zip(nodes, weights):
-        fv = g(mid + half * t)
-        if fv.sign != 0:
-            terms.append(LogScaled(fv.sign, fv.logmag + math.log(w * half)))
-    return log_sum(terms)
-
-
-def _panel_with_error(g, a: float, b: float) -> tuple[LogScaled, LogScaled, float]:
-    """Refined estimate (two halves), plus error = |coarse - refined|."""
-    coarse = _panel_value(g, a, b)
-    mid = 0.5 * (a + b)
-    refined = log_sum([_panel_value(g, a, mid), _panel_value(g, mid, b)])
-    err = abs(log_sum([refined, -coarse]))
-    return refined, err, err.logmag
-
-
-def _initial_segments(lo: float, hi: float | None) -> list[tuple[float, float]]:
-    """Finite cover of [lo, hi); an infinite hi is covered geometrically."""
-    if hi is not None:
-        return [(lo, hi)]
-    segments = []
-    a, width = lo, 1.0
-    while a < lo + _TAIL_LIMIT:
-        b = min(a + width, lo + _TAIL_LIMIT)
-        segments.append((a, b))
-        a, width = b, width * 2.0
-    return segments
-
-
-def _adaptive(g, lo: float, hi: float | None, cfg: QuadratureConfig) -> tuple[LogScaled, IntegrationInfo]:
-    heap: list = []
-    counter = 0
-    subdivisions = 0
-    peak = -math.inf
-    for a, b in _initial_segments(lo, hi):
-        value, err, err_lm = _panel_with_error(g, a, b)
-        if value.sign != 0:
-            peak = max(peak, value.logmag)
-        heapq.heappush(heap, (-err_lm, counter, a, b, value, err))
-        counter += 1
-        # far tail segments contribute nothing once well below the peak
-        if hi is None and value.logmag < peak - _TAIL_DROP and a > lo + 4.0:
-            break
-
-    def totals() -> tuple[LogScaled, float]:
-        total = log_sum([item[4] for item in heap])
-        err_total = log_sum([abs(item[5]) for item in heap])
-        return total, err_total.logmag
-
-    while True:
-        total, err_lm = totals()
-        bound = math.log(cfg.abs_tol)
-        if total.sign != 0:
-            bound = max(bound, math.log(cfg.rel_tol) + total.logmag)
-        if err_lm <= bound:
-            return total, IntegrationInfo(subdivisions, err_lm, True)
-        if subdivisions >= cfg.max_subdivisions:
-            raise NonConvergenceError(
-                f"no convergence after {subdivisions} subdivisions "
-                f"(err_logmag={err_lm:.3g}, required {bound:.3g})",
-                subdivisions,
-                err_lm,
-            )
-        _, _, a, b, value, err = heapq.heappop(heap)
-        mid = 0.5 * (a + b)
-        if not (a < mid < b):
-            # no representable midpoint: float resolution is exhausted, so
-            # the panel's remaining error sits below representable
-            # subdivision; freeze it with zero error instead of splitting
-            heapq.heappush(
-                heap, (-math.inf, counter, a, b, value, LogScaled.zero())
-            )
-            counter += 1
-            continue
-        for aa, bb in ((a, mid), (mid, b)):
-            value, err, err_lm2 = _panel_with_error(g, aa, bb)
-            heapq.heappush(heap, (-err_lm2, counter, aa, bb, value, err))
-            counter += 1
-        subdivisions += 1
-
-
-def _mapped(f, a: float, b: float, substitution: str):
-    """Return (g, lo, hi) with hi None when the image is a half-line."""
-    if substitution == "identity":
-        return f, a, b
-
-    if substitution == "neg_log":
-        # r = e^{-t}: dr = -e^{-t} dt, r in (a,b) maps to t in (-log b, -log a)
-        def g(t: float) -> LogScaled:
-            r = math.exp(-t)
-            if r == 0.0:
-                # past float resolution; the node carries no representable mass
-                return LogScaled.zero()
-            fv = f(r)
-            if fv.sign == 0:
-                return fv
-            return LogScaled(fv.sign, fv.logmag - t)
-
-        lo = -math.log(b)
-        hi = None if a == 0.0 else -math.log(a)
-        return g, lo, hi
-
-    # one_minus_exp: r = 1 - e^{-v}
-    def g(v: float) -> LogScaled:
-        r = -math.expm1(-v)
-        if r == 1.0:
-            # 1 - e^{-v} rounded up to the endpoint; same resolution limit
-            return LogScaled.zero()
-        fv = f(r)
-        if fv.sign == 0:
-            return fv
-        return LogScaled(fv.sign, fv.logmag - v)
-
-    lo = -math.log1p(-a)
-    hi = None if b == 1.0 else -math.log1p(-b)
-    return g, lo, hi
-
-
-def integrate01_with_info(
-    f: Callable[[float], LogScaled],
-    cfg: QuadratureConfig,
-    a: float = 0.0,
-    b: float = 1.0,
-) -> tuple[LogScaled, IntegrationInfo]:
-    """Integrate a log-scaled integrand over (a, b) inside (0, 1).
-
-    The integrand is evaluated only at interior nodes, so integrable endpoint
-    singularities are fine.  Raises NonConvergenceError when the subdivision
-    budget runs out before the tolerance is met.
-    """
-    if not (0.0 <= a < b <= 1.0):
-        raise ValueError(f"need 0 <= a < b <= 1, got ({a}, {b})")
-    g, lo, hi = _mapped(f, a, b, cfg.substitution)
-    return _adaptive(g, lo, hi, cfg)
-
-
-def integrate01(
-    f: Callable[[float], LogScaled],
-    cfg: QuadratureConfig,
-    a: float = 0.0,
-    b: float = 1.0,
-) -> LogScaled:
-    value, _ = integrate01_with_info(f, cfg, a, b)
-    return value

@@ -18,38 +18,21 @@ def run(capsys, *argv):
 
 class TestKernelCommand:
     def test_single_pair(self, capsys):
-        code, out, _ = run(
-            capsys, "kernel", "--alpha", "1", "--x", "0.5", "--y", "1.25"
-        )
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[0] == "x;y;form;log_value;sign;diagnostics"
-        assert len(lines) == 2
-        fields = lines[1].split(";")
-        assert fields[0] == "0.5" and fields[1] == "1.25"
-        assert fields[4] in ("+1", "-1")
-
-    def test_both_forms(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "kernel",
-            "--alpha",
-            "1,0",
-            "--x",
-            "0.5,0.2",
-            "--y",
-            "2.5,-1.0",
-            "--form",
-            "both",
-        )
-        assert code == 0
-        lines = out.splitlines()
-        assert len(lines) == 3
-        forms = {line.split(";")[2] for line in lines[1:]}
-        assert forms == {"direct", "factored"}
-        # the two forms agree on the logged value to printed precision
-        logs = [float(line.split(";")[3]) for line in lines[1:]]
-        assert abs(logs[0] - logs[1]) <= 1e-8
+        # the second pair sits 1e-7 from the diagonal
+        for argv, x in (
+            (("--alpha", "1", "--x", "0.5", "--y", "1.25"), "0.5"),
+            (("--alpha", "2,2", "--x", "0.4,0.3", "--y", "0.4,0.3000001"), "0.4,0.3"),
+        ):
+            code, out, _ = run(capsys, "kernel", *argv)
+            assert code == 0
+            lines = out.splitlines()
+            assert lines[0] == "x;y;log_value;sign;diagnostics"
+            assert len(lines) == 2
+            fields = lines[1].split(";")
+            assert fields[0] == x and fields[1] == argv[-1]
+            assert math.isfinite(float(fields[2]))
+            assert fields[3] in ("+1", "-1")
+            assert fields[4].startswith("subdivisions=")
 
     def test_deterministic_output(self, capsys):
         # negative coordinates need the equals syntax to survive argparse
