@@ -5,7 +5,7 @@ quadrature, and weak-type (1,1) probes."""
 from rieszlab.logscaled import LogScaled, log_sum
 from rieszlab.geometry import MultiIndex, identity_residuals
 from rieszlab.quadrature import NonConvergenceError
-from rieszlab.hermite import gamma_h, gauss_density, h_normalized, inv_gauss_density
+from rieszlab.hermite import gamma_h, gauss_density, h_normalized
 from rieszlab.kernels import (
     KernelValue,
     heat_kernel,
@@ -14,7 +14,6 @@ from rieszlab.kernels import (
 )
 from rieszlab.spectral import (
     SpectralCoefficients,
-    analyze,
     apply_riesz_spectral,
     l2_norm_bound,
     orthonormality_defect,
@@ -51,13 +50,11 @@ __all__ = [
     "gamma_h",
     "gauss_density",
     "h_normalized",
-    "inv_gauss_density",
     "KernelValue",
     "heat_kernel",
     "riesz_kernel",
     "riesz_kernel_batch",
     "SpectralCoefficients",
-    "analyze",
     "apply_riesz_spectral",
     "l2_norm_bound",
     "orthonormality_defect",

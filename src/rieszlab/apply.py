@@ -26,7 +26,7 @@ import numpy as np
 from rieszlab.geometry import MultiIndex
 from rieszlab.kernels import riesz_kernel_batch
 from rieszlab.logscaled import LogScaled, log_sum, signed_logsumexp
-from rieszlab.quadrature import NonConvergenceError
+from rieszlab.quadrature import NonConvergenceError, gauss_legendre
 from rieszlab.regions import chi_batch
 
 __all__ = [
@@ -160,21 +160,14 @@ def _radial_rule(
     Geometric panels double from lo, refining toward the singular end;
     uniform panels suit regular integrands.
     """
-    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(order)
-    if geometric:
-        if lo <= 0.0:
-            raise ValueError("geometric panels need lo > 0")
-        edges = [lo]
-        while edges[-1] < hi:
-            edges.append(min(2.0 * edges[-1], hi))
-    else:
-        edges = list(np.linspace(lo, hi, 5))
-    rs, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        rs.append(mid + half * gl_nodes)
-        ws.append(half * gl_weights)
-    return np.concatenate(rs), np.concatenate(ws)
+    if not geometric:
+        return gauss_legendre(np.linspace(lo, hi, 5), order)
+    if lo <= 0.0:
+        raise ValueError("geometric panels need lo > 0")
+    edges = [lo]
+    while edges[-1] < hi:
+        edges.append(min(2.0 * edges[-1], hi))
+    return gauss_legendre(edges, order)
 
 
 def _is_all_even(alpha: MultiIndex) -> bool:
@@ -249,13 +242,12 @@ def _support_sum_log(
         radial = _radial_rule(0.0, rho, _RADIAL_ORDER, geometric=False)
         pts, logw = _polar_nodes(c, *radial, _ANGULAR_NODES)
         return _weighted_kernel_sum(alpha, f, x, pts, logw, mode)
-    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(_BOX_ORDER)
-    axes = [c[j] + rho * gl_nodes for j in range(n)]
-    grids = np.meshgrid(*axes, indexing="ij")
+    nodes, weights = gauss_legendre([-rho, rho], _BOX_ORDER)
+    grids = np.meshgrid(*[c[j] + nodes for j in range(n)], indexing="ij")
     pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
     w = np.ones(1)
     for _ in range(n):
-        w = np.multiply.outer(w, rho * gl_weights).reshape(-1)
+        w = np.multiply.outer(w, weights).reshape(-1)
     return _weighted_kernel_sum(alpha, f, x, pts, np.log(w), mode)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from rieszlab.geometry import MultiIndex, identity_residuals
 from rieszlab.kernels import heat_kernel, riesz_kernel
-from rieszlab.quadrature import NonConvergenceError
+from rieszlab.quadrature import NonConvergenceError, gauss_legendre
 from rieszlab.spectral import l2_norm_bound, orthonormality_defect
 from rieszlab.hermite import gamma_h
 from rieszlab.weaktype import (
@@ -249,9 +249,7 @@ def suite_orthonormality(seed: int, count: int) -> list:
 
 def suite_semigroup(seed: int, count: int) -> list:
     checks = []
-    nodes, weights = np.polynomial.legendre.leggauss(220)
-    z = 9.0 * nodes
-    w = 9.0 * weights
+    z, w = gauss_legendre([-9.0, 9.0], 220)
     s, t = 0.35, 0.6
     for x, y in ((0.2, -0.4), (1.0, 0.7), (-1.5, 2.0)):
         conv = sum(

@@ -28,15 +28,6 @@ class MultiIndex:
     def of(*entries: int) -> "MultiIndex":
         return MultiIndex(tuple(int(e) for e in entries))
 
-    @staticmethod
-    def axis(order: int, dim: int, axis: int = 0) -> "MultiIndex":
-        """Multi-index of the given order concentrated on one coordinate."""
-        if not 0 <= axis < dim:
-            raise ValueError("axis out of range")
-        entries = [0] * dim
-        entries[axis] = int(order)
-        return MultiIndex(tuple(entries))
-
     @property
     def order(self) -> int:
         return sum(self.entries)

@@ -1,5 +1,5 @@
 """Physicists' Hermite polynomials, their normalized tensor versions, and the
-two mutually inverse Gaussian densities.
+Gaussian density.
 
 Conventions: H_k has leading coefficient 2^k and satisfies the recurrence
 H_{k+1}(s) = 2 s H_k(s) - 2 k H_{k-1}(s).  The normalized version
@@ -23,7 +23,6 @@ __all__ = [
     "h_normalized_table",
     "log_h_norm_const",
     "gauss_density",
-    "inv_gauss_density",
     "gamma_h",
 ]
 
@@ -104,13 +103,6 @@ def gauss_density(x) -> LogScaled:
     x = np.asarray(x, dtype=float)
     n = x.size
     return LogScaled.from_log(-0.5 * n * math.log(math.pi) - float(np.dot(x, x)))
-
-
-def inv_gauss_density(x) -> LogScaled:
-    """Inverse-Gaussian density pi^{n/2} exp(+|x|^2), the measure weight."""
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    return LogScaled.from_log(0.5 * n * math.log(math.pi) + float(np.dot(x, x)))
 
 
 def gamma_h(beta: MultiIndex, x) -> LogScaled:

@@ -22,7 +22,7 @@ import numpy as np
 from rieszlab.geometry import MultiIndex
 from rieszlab.hermite import hermite1d
 from rieszlab.logscaled import LogScaled, signed_logsumexp
-from rieszlab.quadrature import NonConvergenceError
+from rieszlab.quadrature import NonConvergenceError, gauss_legendre
 
 __all__ = [
     "KernelValue",
@@ -38,7 +38,7 @@ __all__ = [
 _QUAD_LIMIT = 200
 _QUAD_TOL = 1e-10
 # Gauss-Legendre nodes per breakpoint interval of the coarse |integrand| rule
-_COARSE_RULE = np.polynomial.legendre.leggauss(16)
+_COARSE_ORDER = 16
 
 
 @dataclass(frozen=True)
@@ -141,11 +141,7 @@ def riesz_kernel(alpha: MultiIndex, x: np.ndarray, y: np.ndarray) -> KernelValue
     if float(np.linalg.norm(x - y)) == 0.0:
         raise ValueError("kernel undefined on the diagonal")
     pts = _breakpoints(x, y)
-    edges = np.concatenate(([0.0], pts, [1.0]))
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * _COARSE_RULE[0]).ravel()
-    weights = (half[:, None] * _COARSE_RULE[1]).ravel()
+    nodes, weights = gauss_legendre(np.concatenate(([0.0], pts, [1.0])), _COARSE_ORDER)
     _, logs = _log_integrand(alpha, x, y, np.concatenate((pts, nodes)))
     shift = float(logs.max())
     mass = float(weights @ np.exp(logs[pts.size :] - shift))
@@ -188,35 +184,30 @@ _BATCH_ORDER = 24
 @lru_cache(maxsize=32)
 def _batch_rule(n: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Composite nodes (r, 1/sqrt(1-r^2), log weight incl. all r-factors)."""
-    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(_BATCH_ORDER)
-    rs, inv_scales, logws = [], [], []
-    for edges, side in ((_T_EDGES, "t"), (_V_EDGES, "v")):
-        for a, b in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            s = mid + half * gl_nodes
-            w = gl_weights * half
-            if side == "t":
-                r = np.exp(-s)
-                one_m_r2 = -np.expm1(-2.0 * s)
-                log_base = (
-                    -n * s
-                    + (0.5 * order - 1.0) * np.log(s)
-                    - 0.5 * (n + order) * np.log(one_m_r2)
-                )
-            else:
-                r = -np.expm1(-s)
-                neg_log_r = -np.log1p(-np.exp(-s))
-                one_m_r2 = np.exp(-s) * (1.0 + r)
-                log_base = (
-                    (n - 1) * np.log(r)
-                    + (0.5 * order - 1.0) * np.log(neg_log_r)
-                    - 0.5 * (n + order) * np.log(one_m_r2)
-                    - s
-                )
-            rs.append(r)
-            inv_scales.append(1.0 / np.sqrt(one_m_r2))
-            logws.append(log_base + np.log(w))
-    return np.concatenate(rs), np.concatenate(inv_scales), np.concatenate(logws)
+    t, w_t = gauss_legendre(_T_EDGES, _BATCH_ORDER)
+    v, w_v = gauss_legendre(_V_EDGES, _BATCH_ORDER)
+    # t = -log r toward r = 0, v = -log(1 - r) toward r = 1
+    r_t = np.exp(-t)
+    one_m_r2_t = -np.expm1(-2.0 * t)
+    log_t = (
+        -n * t
+        + (0.5 * order - 1.0) * np.log(t)
+        - 0.5 * (n + order) * np.log(one_m_r2_t)
+    )
+    r_v = -np.expm1(-v)
+    one_m_r2_v = np.exp(-v) * (1.0 + r_v)
+    log_v = (
+        (n - 1) * np.log(r_v)
+        + (0.5 * order - 1.0) * np.log(-np.log1p(-np.exp(-v)))
+        - 0.5 * (n + order) * np.log(one_m_r2_v)
+        - v
+    )
+    one_m_r2 = np.concatenate((one_m_r2_t, one_m_r2_v))
+    return (
+        np.concatenate((r_t, r_v)),
+        1.0 / np.sqrt(one_m_r2),
+        np.concatenate((log_t + np.log(w_t), log_v + np.log(w_v))),
+    )
 
 
 def _hermite_batch(k: int, u: np.ndarray) -> np.ndarray:

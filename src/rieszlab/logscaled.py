@@ -39,10 +39,6 @@ class LogScaled:
         return LogScaled(0, -math.inf)
 
     @staticmethod
-    def one() -> "LogScaled":
-        return LogScaled(1, 0.0)
-
-    @staticmethod
     def from_float(value: float) -> "LogScaled":
         if value == 0.0:
             return LogScaled.zero()
@@ -77,43 +73,6 @@ class LogScaled:
         return LogScaled(self.sign * other.sign, self.logmag + other.logmag)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other: "LogScaled | float") -> "LogScaled":
-        if isinstance(other, (int, float)):
-            other = LogScaled.from_float(float(other))
-        if other.sign == 0:
-            raise ZeroDivisionError("division by log-scaled zero")
-        if self.sign == 0:
-            return LogScaled.zero()
-        return LogScaled(self.sign * other.sign, self.logmag - other.logmag)
-
-    def __neg__(self) -> "LogScaled":
-        if self.sign == 0:
-            return self
-        return LogScaled(-self.sign, self.logmag)
-
-    def __abs__(self) -> "LogScaled":
-        if self.sign == 0:
-            return self
-        return LogScaled(1, self.logmag)
-
-    def powi(self, k: int) -> "LogScaled":
-        """Integer power; well-defined for either sign."""
-        if k == 0:
-            return LogScaled.one()
-        if self.sign == 0:
-            if k < 0:
-                raise ZeroDivisionError("zero to a negative power")
-            return self
-        sign = self.sign if k % 2 else 1
-        return LogScaled(sign, k * self.logmag)
-
-    def sqrt(self) -> "LogScaled":
-        if self.sign < 0:
-            raise ValueError("sqrt of a negative log-scaled value")
-        if self.sign == 0:
-            return self
-        return LogScaled(1, 0.5 * self.logmag)
 
     def __repr__(self) -> str:
         if self.sign == 0:

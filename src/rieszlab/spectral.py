@@ -2,22 +2,17 @@
 operator's Riesz transforms.
 
 The family {gauss * h_beta} is orthonormal in L^2 of the inverse-Gaussian
-measure, and the density product gauss * inv_gauss == 1 turns every
-coefficient into a plain Lebesgue integral: c_beta = integral of f * h_beta.
-The Gauss-Hermite analysis below exploits that cancellation, so the
-inverse-Gaussian weight itself is never formed numerically.
-
-On coefficients the Riesz transforms act by a degree shift along alpha,
-which makes this module the trusted oracle against which the
-kernel-quadrature path is checked.
+measure.  A function is given by its coefficients over that family, which
+are synthesized pointwise.  On coefficients the Riesz transforms act by a
+degree shift along alpha, which makes this module the trusted oracle
+against which the kernel-quadrature path is checked.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -28,21 +23,12 @@ __all__ = [
     "SpectralCoefficients",
     "NormBoundResult",
     "total_degree_indices",
-    "analyze",
     "synthesize",
     "apply_riesz_spectral",
     "riesz_coefficient_factor",
     "l2_norm_bound",
     "orthonormality_defect",
 ]
-
-# Gauss-Hermite nodes reach sqrt(2*order + 1); exp(node^2) must stay finite
-# when the Gaussian quotient is formed pointwise.
-_MAX_POINTWISE_ORDER = 350
-
-# top-shell energy fraction above which analyze() warns about truncation
-_DECAY_TOL = 1e-4
-
 
 def total_degree_indices(n: int, max_degree: int) -> list[tuple[int, ...]]:
     """All multi-index tuples with |beta| <= max_degree.
@@ -119,76 +105,6 @@ def _tensor_mesh(nodes_1d: np.ndarray, weights_1d: np.ndarray, n: int):
     for _ in range(n):
         w = np.multiply.outer(w, weights_1d).reshape(-1)
     return mesh, w
-
-
-def _contract(table: np.ndarray, weighted_values: np.ndarray, n: int, m: int):
-    """c[beta] = sum_points (prod_j table[beta_j, point_j]) * weighted value."""
-    if n == 1:
-        return table @ weighted_values
-    if n == 2:
-        a = weighted_values.reshape(m, m)
-        return table @ a @ table.T
-    if n == 3:
-        a = weighted_values.reshape(m, m, m)
-        return np.einsum("ai,bj,ck,ijk->abc", table, table, table, a)
-    raise ValueError("analysis supports dimensions 1 to 3 only")
-
-
-def analyze(
-    f: Callable[[np.ndarray], np.ndarray],
-    n: int,
-    max_degree: int,
-    order: int | None = None,
-    gaussian_quotient: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> SpectralCoefficients:
-    """Expand f over the orthonormal family, c_beta = integral of f * h_beta.
-
-    f must be vectorized: it receives an (m, n) array of points and returns
-    the m values.
-
-    A tensor Gauss-Hermite rule's weight absorbs exp(-|x|^2), so the
-    integrand is f(x) exp(|x|^2) h_beta(x).  Pass gaussian_quotient to supply
-    f(x) exp(|x|^2) analytically when f carries a Gaussian factor; otherwise
-    the quotient is formed pointwise, which is safe for rule orders up to 350
-    (largest node below 26.5).
-
-    The per-coordinate order defaults to max(max_degree + 1, 64); a warning
-    is emitted when the outermost shells hold more than a 1e-4 fraction of
-    the squared-coefficient mass, the sign of inadequate degree or order.
-    """
-    if order is None:
-        order = max(max_degree + 1, 64)
-    if order < max_degree + 1:
-        raise ValueError("quadrature order must be at least max_degree + 1")
-    if gaussian_quotient is None and order > _MAX_POINTWISE_ORDER:
-        raise ValueError(
-            "order too large to form exp(|x|^2) pointwise; pass gaussian_quotient"
-        )
-
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
-    mesh, w = _tensor_mesh(nodes, weights, n)
-    if gaussian_quotient is not None:
-        gv = np.asarray(gaussian_quotient(mesh), dtype=float)
-    else:
-        gv = np.asarray(f(mesh), dtype=float) * np.exp(np.sum(mesh * mesh, axis=1))
-    if gv.shape != (mesh.shape[0],):
-        raise ValueError("f must map (m, n) points to m values")
-    table = h_normalized_table(max_degree, nodes)
-    dense = _contract(table, w * gv, n, order)
-
-    coeffs: dict[tuple[int, ...], float] = {}
-    for beta in total_degree_indices(n, max_degree):
-        coeffs[beta] = float(dense[beta] if n > 1 else dense[beta[0]])
-    fraction = _top_shell_fraction(coeffs, max_degree)
-    if fraction > _DECAY_TOL:
-        warnings.warn(
-            f"top-shell energy fraction {fraction:.2e} exceeds {_DECAY_TOL:.0e}; "
-            "raise max_degree or the quadrature order",
-            stacklevel=2,
-        )
-    return SpectralCoefficients(
-        n=n, max_degree=max_degree, coeffs=coeffs, top_shell_fraction=fraction
-    )
 
 
 def synthesize(c: SpectralCoefficients, x) -> float | np.ndarray:

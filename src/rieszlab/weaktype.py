@@ -26,6 +26,7 @@ from rieszlab.apply import GridFunction, _polar_nodes
 from rieszlab.geometry import MultiIndex
 from rieszlab.kernels import riesz_kernel_batch
 from rieszlab.logscaled import LogScaled, signed_logsumexp
+from rieszlab.quadrature import gauss_legendre
 from rieszlab.regions import _draw_pairs, sample_global_pairs, sample_local_pairs
 
 __all__ = [
@@ -51,7 +52,6 @@ __all__ = [
     "counterexample_expectation",
     "counterexample_lower_bound",
     "tube_axis_basis",
-    "tube_membership",
     "tube_kernel_lower_constant",
     "SlopeFit",
     "slope_fit",
@@ -105,18 +105,14 @@ def gamma_inv_ball_log(
     if radius <= 0.0:
         raise ValueError("radius must be positive")
     c = float(np.linalg.norm(center))
-    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(0.0, radius, panels + 1)
-    mids, halves = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
-    r = (mids[:, None] + halves[:, None] * gl_nodes[None, :]).reshape(-1)
-    logw = np.log(halves[:, None] * gl_weights[None, :]).reshape(-1)
+    r, w = gauss_legendre(np.linspace(0.0, radius, panels + 1), order)
     log_terms = (
         0.5 * n * _LOG_PI
         + (n - 1) * np.log(r)
         + _log_sphere_factor(n, 2.0 * r * c)
         + c * c
         + r * r
-        + logw
+        + np.log(w)
     )
     sgn, lm = signed_logsumexp(log_terms[None, :], axis=1)
     return LogScaled.from_log(float(lm[0]), int(sgn[0]))
@@ -172,48 +168,30 @@ class LevelSetReport:
     """Level-set summary of one sampled |Tf|.
 
     Thresholds and measures are stored as logs; the quasi-norm is
-    sup_s s * measure{|Tf| > s} divided by the input norm.  Metadata records
+    sup_s s * measure{|Tf| > s} for a unit-norm input.  Metadata records
     how the estimate was produced (cell counts, truncation).
     """
 
     log_thresholds: np.ndarray
     log_measures: np.ndarray
     log_quasi_norm: float
-    log_f_norm: float
     argmax_log_threshold: float
     metadata: dict = field(default_factory=dict)
-
-    @property
-    def thresholds(self) -> np.ndarray:
-        return np.exp(self.log_thresholds)
-
-    @property
-    def measures(self) -> np.ndarray:
-        return np.exp(self.log_measures)
 
     @property
     def quasi_norm(self) -> float:
         return _exp_safe(self.log_quasi_norm)
 
-    def monotone(self) -> bool:
-        return bool(np.all(np.diff(self.log_measures) <= 1e-12))
 
-
-def level_set_report(
-    tf: GridFunction,
-    f_norm: float | LogScaled = 1.0,
-    s_grid: np.ndarray | None = None,
-    metadata: dict | None = None,
-) -> LevelSetReport:
+def level_set_report(tf: GridFunction, metadata: dict | None = None) -> LevelSetReport:
     """Measure the super-level sets of |Tf| over its sampled cells.
 
     tf must carry cell_volumes (each sample owns a Lebesgue cell); the
-    density weight e^{|x|^2} is applied at the sample point.  Thresholds
-    default to 64 log-spaced values over six decades below max|Tf|.
+    density weight e^{|x|^2} is applied at the sample point.  The
+    thresholds are 64 log-spaced values over six decades below max|Tf|.
     """
     if tf.cell_volumes is None:
         raise ValueError("level sets need cell_volumes on the sampled grid")
-    log_f = f_norm.logmag if isinstance(f_norm, LogScaled) else math.log(f_norm)
     if tf.log_abs_values is not None:
         log_tf = tf.log_abs_values.copy()
     else:
@@ -227,14 +205,10 @@ def level_set_report(
             log_thresholds=np.empty(0),
             log_measures=np.empty(0),
             log_quasi_norm=-math.inf,
-            log_f_norm=log_f,
             argmax_log_threshold=-math.inf,
             metadata=meta,
         )
-    if s_grid is None:
-        log_s = np.linspace(top - 6.0 * math.log(10.0), top, 64)
-    else:
-        log_s = np.log(np.asarray(s_grid, dtype=float))
+    log_s = np.linspace(top - 6.0 * math.log(10.0), top, 64)
     log_mass = (
         np.log(tf.cell_volumes)
         + 0.5 * tf.n * _LOG_PI
@@ -253,8 +227,7 @@ def level_set_report(
     return LevelSetReport(
         log_thresholds=log_s,
         log_measures=log_measures,
-        log_quasi_norm=float(log_pairs[best]) - log_f,
-        log_f_norm=log_f,
+        log_quasi_norm=float(log_pairs[best]),
         argmax_log_threshold=float(log_s[best]),
         metadata=meta,
     )
@@ -349,17 +322,20 @@ def _log_min_growth_angular(n: int, x_norm, sin_theta: np.ndarray) -> np.ndarray
     return np.minimum(grow, ang)
 
 
-_GL12 = np.polynomial.legendre.leggauss(12)
-_GL64 = np.polynomial.legendre.leggauss(64)
+# one 64-point panel on r in (0, 1/2), and 12-point panels on u = 1 - r in
+# (u_min, 1/2) whose edges halve from 1/2 down to the first power of two
+# at or below u_min = 1e-14
+_R_NODES, _R_W = gauss_legendre([0.0, 0.5], 64)
+_R_LOGW = np.log(_R_W)
+_U_NODES, _U_W = gauss_legendre(2.0 ** np.arange(math.floor(math.log2(1e-14)), 0), 12)
+_U_LOGW = np.log(_U_W)
 
 
 def _first_half_integral_log(
     n: int, a: int, X: np.ndarray, Y: np.ndarray
 ) -> np.ndarray:
     """Bare integral over r in (0, 1/2): r^{n-1} |x - r y|^a e^{-|r x - y|^2}."""
-    nodes, weights = _GL64
-    r = 0.25 + 0.25 * nodes
-    logw = np.log(0.25 * weights)
+    r, logw = _R_NODES, _R_LOGW
     x2, xy, y2 = (v[:, None] for v in _row_dots(X, Y))
     # |rx - y|^2 and |x - ry|^2 expanded to avoid an (m, nodes, n) tensor
     rxy = r[None, :] * r[None, :] * x2 - 2.0 * r[None, :] * xy + y2
@@ -370,23 +346,6 @@ def _first_half_integral_log(
             terms = terms + 0.5 * a * np.log(np.maximum(xry, 0.0))
     _, lm = signed_logsumexp(terms, axis=1)
     return lm
-
-
-def _second_half_panels(u_min: float = 1e-14) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/log-weights on u in (u_min, 1/2), geometric toward u = 0."""
-    nodes, weights = _GL12
-    edges = [0.5]
-    while edges[-1] > u_min:
-        edges.append(edges[-1] * 0.5)
-    us, ws = [], []
-    for hi, lo in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        us.append(mid + half * nodes)
-        ws.append(np.log(half * weights))
-    return np.concatenate(us), np.concatenate(ws)
-
-
-_U_NODES, _U_LOGW = _second_half_panels()
 
 
 def _second_half_integral_log(
@@ -497,8 +456,7 @@ def near_diagonal_profile_integral(n: int, mu: float, nu: float, X, Y) -> np.nda
                 terms = terms + 0.5 * nu * np.log(xry)
         return terms
 
-    nodes, weights = _GL64
-    lo_terms = chunk_log(0.25 + 0.25 * nodes, np.log(0.25 * weights))
+    lo_terms = chunk_log(_R_NODES, _R_LOGW)
     hi_terms = chunk_log(1.0 - _U_NODES, _U_LOGW)
     _, lm = signed_logsumexp(np.concatenate([lo_terms, hi_terms], axis=1), axis=1)
     return lm
@@ -1128,12 +1086,6 @@ class QuasinormProbe:
     metadata: dict = field(default_factory=dict)
 
 
-def _ball_radial_rule(radius: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Radii and weights of one Gauss-Legendre panel on [0, radius]."""
-    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(order)
-    return 0.5 * radius * (gl_nodes + 1.0), 0.5 * radius * gl_weights
-
-
 def weak_quasinorm_probe(
     spec: LemmaKernelSpec,
     centers: Sequence,
@@ -1142,15 +1094,17 @@ def weak_quasinorm_probe(
     t_max: float = 30.0,
     t_count: int = 4096,
 ) -> QuasinormProbe:
-    """Per-center weak quasi-norms of the comparison operator applied to
-    normalized ball indicators.
+    """Per-center weak quasi-norms of the rank-one operator (kernel L42)
+    applied to normalized ball indicators.
 
-    Tf is sampled along the ray t e_1 (the catalog kernels depend on x only
-    through |x| and quantities fixed by the input ball, so the radial slice
-    determines the level sets); measures use the closed-form centered-ball
-    values on geometric annuli.  Works for n <= 2.
+    Tf depends on x only through |x|, so it is sampled along the ray t e_1;
+    measures use the closed-form centered-ball values on geometric annuli.
+    Works for n <= 2; other kernels raise ValueError, as in
+    rank_one_quasinorm_exact.
     """
     n = spec.n
+    if spec.kernel_id != "L42":
+        raise ValueError("the probe applies to the rank-one kernel only")
     if n > 2:
         raise NotImplementedError("probe implemented for n <= 2")
     t = np.exp(np.linspace(math.log(t_min), math.log(t_max), t_count))
@@ -1172,21 +1126,14 @@ def weak_quasinorm_probe(
         c = np.asarray(center, dtype=float)
         if c.ndim == 0:
             c = np.concatenate([[float(c)], np.zeros(n - 1)])
-        ball_pts, ball_logw = _polar_nodes(c, *_ball_radial_rule(rho, 24), 64)
+        ball_pts, ball_logw = _polar_nodes(c, *gauss_legendre([0.0, rho], 24), 64)
         log_norm = gamma_inv_ball_log(n, c, rho).logmag
-        if spec.kernel_id == "L42":
-            ball_sum = float(
-                signed_logsumexp(
-                    (np.sum(ball_pts * ball_pts, axis=1) + ball_logw)[None, :], axis=1
-                )[1][0]
-            )
-            log_tf = _rank_one_radial_log(spec, t) + ball_sum - log_norm
-        else:
-            log_tf = np.empty(t_count)
-            for i, ti in enumerate(t):
-                x = np.concatenate([[ti], np.zeros(n - 1)])
-                vals = lemma_kernel_batch(spec, x, ball_pts) + ball_logw - log_norm
-                log_tf[i] = float(signed_logsumexp(vals[None, :], axis=1)[1][0])
+        ball_sum = float(
+            signed_logsumexp(
+                (np.sum(ball_pts * ball_pts, axis=1) + ball_logw)[None, :], axis=1
+            )[1][0]
+        )
+        log_tf = _rank_one_radial_log(spec, t) + ball_sum - log_norm
         if np.all(np.diff(log_tf) <= 1e-9):
             # non-increasing profile: the super-level set at s = Tf(t_k) is
             # the centered ball of radius t_k, measured in closed form
@@ -1225,27 +1172,15 @@ def tube_axis_basis(n: int) -> np.ndarray:
     return q * np.sign(np.diag(r))[None, :]
 
 
-def tube_membership(
-    n: int, eta: float, perp_half: float = 1.0, positive_only: bool = False
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Membership predicate for the tube around the diagonal point.
+def _tube(n: int, eta: float, perp_half: float = 1.0):
+    """The displaced tube of the counterexample, for z = (eta, ..., eta).
 
-    The tube consists of x with |x_perp| < perp_half and axis coordinate
-    between (4/3)|z| and (3/2)|z| in magnitude (one-sided when
-    positive_only, matching the evaluation grid of the counterexample).
+    Returns the rotated frame (tube_axis_basis), the axis band
+    ((4/3)|z|, (3/2)|z|) of the first rotated coordinate, and the
+    half-width of every perpendicular coordinate.
     """
-    q = tube_axis_basis(n)
     z_norm = math.sqrt(n) * eta
-
-    def member(pts: np.ndarray) -> np.ndarray:
-        coords = np.atleast_2d(pts) @ q
-        axis = coords[:, 0] if positive_only else np.abs(coords[:, 0])
-        ok = (axis > 4.0 * z_norm / 3.0) & (axis < 1.5 * z_norm)
-        if n > 1:
-            ok &= np.all(np.abs(coords[:, 1:]) < perp_half, axis=1)
-        return ok
-
-    return member
+    return tube_axis_basis(n), (4.0 * z_norm / 3.0, 1.5 * z_norm), perp_half
 
 
 @dataclass(frozen=True)
@@ -1257,7 +1192,8 @@ class CounterexampleConfig:
     The tube and the ball must be separated: |z|/3 - ball_radius >= 0.5.
     grid_axis is the axis cell count at the smallest eta; larger etas get
     proportionally more cells so the cell length stays constant across the
-    sweep (the tube length grows linearly with eta).
+    sweep (the tube length grows linearly with eta).  Every grid count must
+    be at least 1.
     """
 
     alpha: MultiIndex
@@ -1278,6 +1214,9 @@ class CounterexampleConfig:
             raise ValueError("alpha dimension must match n")
         if self.ball_radius <= 0.0 or self.tube_perp_half <= 0.0:
             raise ValueError("radii must be positive")
+        for key in ("grid_axis", "grid_perp", "ball_radial", "ball_angular"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
         if not self.etas or any(e <= 0.0 for e in self.etas):
             raise ValueError("etas must be positive")
         for e in self.etas:
@@ -1326,15 +1265,12 @@ def _tube_grid(cfg: CounterexampleConfig, eta: float):
     extent is eta-independent, so the perp count stays fixed.
     """
     n = cfg.n
-    q = tube_axis_basis(n)
-    z_norm = math.sqrt(n) * eta
-    lo, hi = 4.0 * z_norm / 3.0, 1.5 * z_norm
+    q, (lo, hi), w = _tube(n, eta, cfg.tube_perp_half)
     axis_count = int(math.ceil(cfg.grid_axis * eta / min(cfg.etas)))
     axis_edges = np.linspace(lo, hi, axis_count + 1)
     axis, log_axis = _centroid_cells(axis_edges)
     if n == 1:
         return axis[:, None] @ q.T, log_axis
-    w = cfg.tube_perp_half
     perp_edges = np.linspace(-w, w, cfg.grid_perp + 1)
     perp, log_perp = _centroid_cells(perp_edges)
     grids = np.meshgrid(axis, *([perp] * (n - 1)), indexing="ij")
@@ -1356,7 +1292,7 @@ def _tube_tf_logs(cfg: CounterexampleConfig, eta: float):
     z = np.full(n, eta)
     pts, log_cell = _tube_grid(cfg, eta)
     ball_pts, ball_logw = _polar_nodes(
-        z, *_ball_radial_rule(cfg.ball_radius, cfg.ball_radial), cfg.ball_angular
+        z, *gauss_legendre([0.0, cfg.ball_radius], cfg.ball_radial), cfg.ball_angular
     )
     log_f = -gamma_inv_ball_log(n, z, cfg.ball_radius).logmag
     m, mb = pts.shape[0], ball_pts.shape[0]
@@ -1389,7 +1325,6 @@ def _eta_report(cfg: CounterexampleConfig, eta: float) -> LevelSetReport:
     )
     return level_set_report(
         tf,
-        f_norm=1.0,
         metadata={
             "eta": eta,
             "grid_axis": cfg.grid_axis,
@@ -1486,10 +1421,9 @@ def tube_kernel_lower_constant(
     """
     rng = rng or np.random.default_rng(11)
     z = np.full(n, eta)
-    z_norm = math.sqrt(n) * eta
-    q = tube_axis_basis(n)
-    axis = rng.uniform(4.0 * z_norm / 3.0, 1.5 * z_norm, size=count)
-    perp = rng.uniform(-1.0, 1.0, size=(count, n - 1))
+    q, (lo, hi), w = _tube(n, eta)
+    axis = rng.uniform(lo, hi, size=count)
+    perp = rng.uniform(-w, w, size=(count, n - 1))
     X = np.concatenate([axis[:, None], perp], axis=1) @ q.T
     d = rng.normal(size=(count, n))
     d /= np.linalg.norm(d, axis=1)[:, None]
@@ -1498,7 +1432,7 @@ def tube_kernel_lower_constant(
     want = 1 if alpha.order % 2 == 0 else -1
     violations = int(np.sum(signs != want))
     ref = (
-        (alpha.order - 1) * math.log(z_norm)
+        (alpha.order - 1) * math.log(math.sqrt(n) * eta)
         - np.sum(X * X, axis=1)
         + np.sum(Y * Y, axis=1)
     )

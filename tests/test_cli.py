@@ -267,6 +267,25 @@ class TestCounterexampleCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("key", ["ball_angular", "grid_axis"])
+    def test_zero_grid_count_in_config_file(self, capsys, tmp_path, key):
+        # a non-positive grid count is rejected with a message naming the
+        # key, not with an error from deep inside the quadrature
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(f"{key} = 0\n")
+        code, _, err = run(
+            capsys,
+            "--config",
+            str(cfg),
+            "counterexample",
+            "--alpha",
+            "2,1",
+            "--etas",
+            "4,6,8",
+        )
+        assert code == 2
+        assert key in err
+
     def test_eta_gap_validation(self, capsys):
         code, _, err = run(capsys, "counterexample", "--alpha", "2,1", "--etas", "2")
         assert code == 2

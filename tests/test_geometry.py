@@ -21,10 +21,7 @@ def test_multiindex_validation():
     assert tuple(mi) == (2, 0, 1)
 
 
-def test_multiindex_axis_and_add():
-    assert MultiIndex.axis(3, 2, axis=1).entries == (0, 3)
-    with pytest.raises(ValueError):
-        MultiIndex.axis(1, 2, axis=2)
+def test_multiindex_add():
     total = MultiIndex.of(1, 2) + MultiIndex.of(0, 3)
     assert total.entries == (1, 5)
     with pytest.raises(ValueError):

@@ -13,7 +13,6 @@ from rieszlab.hermite import (
     h_normalized_table,
     hermite1d,
     hermite_multi,
-    inv_gauss_density,
     log_h_norm_const,
 )
 
@@ -94,12 +93,17 @@ def test_norm_const():
 
 
 def test_densities_are_reciprocal():
+    # gauss_density is pi^{-n/2} e^{-|x|^2}, the reciprocal of the
+    # inverse-Gaussian measure weight pi^{n/2} e^{|x|^2}
     rng = np.random.default_rng(12)
     for _ in range(20):
         x = rng.uniform(-3, 3, size=int(rng.integers(1, 4)))
         g = gauss_density(x)
-        ig = inv_gauss_density(x)
-        assert (g * ig).to_float() == pytest.approx(1.0, rel=1e-12)
+        assert g.sign == 1
+        want = math.pi ** (-0.5 * x.size) * math.exp(-float(x @ x))
+        assert g.to_float() == pytest.approx(want, rel=1e-12)
+        weight = math.pi ** (0.5 * x.size) * math.exp(float(x @ x))
+        assert g.to_float() * weight == pytest.approx(1.0, rel=1e-12)
 
 
 def test_gamma_h_matches_direct_product():

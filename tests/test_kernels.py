@@ -121,7 +121,7 @@ def test_batch_matches_scalar_kernel():
     pairs = []
     for _ in range(20):
         n = int(rng.integers(1, 3))
-        alpha = MultiIndex.axis(int(rng.integers(1, 4)), n)
+        alpha = MultiIndex.of(int(rng.integers(1, 4)), *[0] * (n - 1))
         x = rng.uniform(-3, 3, size=n)
         y = x + rng.normal(size=n) * math.exp(rng.uniform(-6, 1))
         pairs.append((alpha, x, y))

@@ -11,8 +11,10 @@ from rieszlab.logscaled import LogScaled, log_sum, signed_logsumexp
 def test_constructors_and_invariants():
     z = LogScaled.zero()
     assert z.sign == 0 and z.logmag == -math.inf
-    one = LogScaled.one()
+    one = LogScaled.from_float(1.0)
     assert one.sign == 1 and one.logmag == 0.0
+    assert LogScaled.from_log(0.5, -1) == LogScaled(-1, 0.5)
+    assert LogScaled.from_log(1.0, 0).sign == 0
     with pytest.raises(ValueError):
         LogScaled(2, 0.0)
     with pytest.raises(ValueError):
@@ -54,30 +56,21 @@ def test_arithmetic_matches_floats():
             continue
         la, lb = LogScaled.from_float(a), LogScaled.from_float(b)
         assert (la * lb).to_float() == pytest.approx(a * b, rel=1e-13)
-        assert (la / lb).to_float() == pytest.approx(a / b, rel=1e-13)
         assert (la * 2.5).to_float() == pytest.approx(a * 2.5, rel=1e-13)
-        # negation and abs touch only the sign, so they must be exact
-        # relative to the stored magnitude
-        assert (-la).to_float() == -la.to_float()
-        assert abs(la).to_float() == abs(la.to_float())
-        assert la.powi(3).to_float() == pytest.approx(a**3, rel=1e-12)
-        if a > 0:
-            assert la.sqrt().to_float() == pytest.approx(math.sqrt(a), rel=1e-13)
+        assert (2.5 * la).to_float() == pytest.approx(2.5 * a, rel=1e-13)
+        # the sign of a product is the product of the signs, exactly
+        assert (la * lb).sign == (1 if a * b > 0 else -1)
 
 
 def test_zero_propagation_and_errors():
     z = LogScaled.zero()
-    one = LogScaled.one()
+    one = LogScaled.from_float(1.0)
     assert (z * one).sign == 0
-    assert (z / one).sign == 0
-    with pytest.raises(ZeroDivisionError):
-        one / z
-    with pytest.raises(ZeroDivisionError):
-        z.powi(-1)
+    assert (one * z).sign == 0
+    assert (one * 0.0).sign == 0
+    assert (LogScaled.from_float(-3.0) * LogScaled.from_float(-3.0)).sign == 1
     with pytest.raises(ValueError):
-        LogScaled.from_float(-2.0).sqrt()
-    assert z.powi(0).to_float() == 1.0
-    assert LogScaled.from_float(-3.0).powi(2).sign == 1
+        one * math.nan
 
 
 def test_log_sum_matches_fsum():
@@ -88,8 +81,7 @@ def test_log_sum_matches_fsum():
         assert got == pytest.approx(math.fsum(vals), rel=1e-12, abs=1e-300)
     assert log_sum([]).sign == 0
     # exact cancellation collapses to zero
-    a = LogScaled.from_float(1.5)
-    assert log_sum([a, -a]).sign == 0
+    assert log_sum([LogScaled.from_float(1.5), LogScaled.from_float(-1.5)]).sign == 0
 
 
 def test_log_sum_survives_extreme_magnitudes():

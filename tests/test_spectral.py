@@ -9,7 +9,6 @@ from rieszlab.geometry import MultiIndex
 from rieszlab.hermite import gamma_h, h_normalized
 from rieszlab.spectral import (
     SpectralCoefficients,
-    analyze,
     apply_riesz_spectral,
     l2_norm_bound,
     orthonormality_defect,
@@ -17,25 +16,6 @@ from rieszlab.spectral import (
     synthesize,
     total_degree_indices,
 )
-
-
-def _mixture_evaluator(n, terms):
-    def f(pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        gauss = math.pi ** (-0.5 * n) * np.exp(-np.sum(pts * pts, axis=1))
-        out = np.zeros(pts.shape[0])
-        for coeff, beta in terms:
-            out += coeff * np.asarray(h_normalized(beta, pts), dtype=float)
-        return out * gauss
-
-    def quotient(pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        out = np.zeros(pts.shape[0])
-        for coeff, beta in terms:
-            out += coeff * np.asarray(h_normalized(beta, pts), dtype=float)
-        return out * math.pi ** (-0.5 * n)
-
-    return f, quotient
 
 
 def test_total_degree_indices_counts():
@@ -51,41 +31,19 @@ def test_orthonormality_defect_small():
     assert orthonormality_defect(2, 8) <= 1e-9
 
 
-def test_analyze_recovers_mixture_coefficients():
-    terms = [(0.7, MultiIndex.of(0)), (-0.2, MultiIndex.of(3))]
-    f, quotient = _mixture_evaluator(1, terms)
-    c = analyze(f, 1, max_degree=6, gaussian_quotient=quotient)
-    assert c.coefficient((0,)) == pytest.approx(0.7, abs=1e-12)
-    assert c.coefficient((3,)) == pytest.approx(-0.2, abs=1e-12)
-    assert abs(c.coefficient((1,))) < 1e-12
-    assert c.norm() == pytest.approx(math.sqrt(0.49 + 0.04), rel=1e-12)
-
-
-def test_analyze_pointwise_quotient_matches_explicit():
-    terms = [(0.5, MultiIndex.of(1, 1))]
-    f, quotient = _mixture_evaluator(2, terms)
-    explicit = analyze(f, 2, max_degree=4, gaussian_quotient=quotient)
-    pointwise = analyze(f, 2, max_degree=4)
-    for beta in total_degree_indices(2, 4):
-        assert pointwise.coefficient(beta) == pytest.approx(
-            explicit.coefficient(beta), abs=1e-10
-        )
-
-
-def test_analyze_warns_when_truncation_is_tight():
-    terms = [(1.0, MultiIndex.of(6))]
-    f, quotient = _mixture_evaluator(1, terms)
-    with pytest.warns(UserWarning):
-        analyze(f, 1, max_degree=6, gaussian_quotient=quotient)
-
-
 def test_synthesize_round_trip():
+    # synthesis of a hand-built expansion against the direct sum of
+    # gauss * h_beta terms
     rng = np.random.default_rng(3)
-    terms = [(0.8, MultiIndex.of(0, 1)), (0.3, MultiIndex.of(2, 0))]
-    f, quotient = _mixture_evaluator(2, terms)
-    c = analyze(f, 2, max_degree=5, gaussian_quotient=quotient)
+    c = SpectralCoefficients(n=2, max_degree=5, coeffs={(0, 1): 0.8, (2, 0): 0.3})
     pts = rng.uniform(-2.0, 2.0, size=(30, 2))
-    np.testing.assert_allclose(synthesize(c, pts), f(pts), atol=1e-12)
+    gauss = math.pi**-1.0 * np.exp(-np.sum(pts * pts, axis=1))
+    want = gauss * sum(
+        value * h_normalized(MultiIndex(beta), pts) for beta, value in c.coeffs.items()
+    )
+    np.testing.assert_allclose(synthesize(c, pts), want, atol=1e-12)
+    assert c.norm() == pytest.approx(math.sqrt(0.64 + 0.09), rel=1e-14)
+    assert synthesize(c, pts[0]) == pytest.approx(want[0], abs=1e-12)
 
 
 def test_coefficients_validation():

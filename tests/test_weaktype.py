@@ -13,7 +13,7 @@ from scipy.optimize import brentq
 import rieszlab.weaktype as wt
 from rieszlab import MultiIndex
 from rieszlab.apply import apply_glob_log, ball_indicator
-from rieszlab.logscaled import LogScaled, signed_logsumexp
+from rieszlab.logscaled import signed_logsumexp
 from rieszlab.regions import sample_global_pairs, sample_local_pairs
 
 
@@ -88,11 +88,17 @@ class TestLevelSetReport:
             wt.level_set_report(tf)
 
     def test_explicit_grid_is_exact(self):
+        # on its 64 thresholds the report measures each super-level set
+        # exactly: the quasi-norm is the best s * measure{|Tf| > s} there
         tf, masses = self.make_tf([3.0, 3.0, 1.0])
-        rep = wt.level_set_report(tf, s_grid=np.array([0.5, 2.0]))
-        want = max(0.5 * masses.sum(), 2.0 * masses[:2].sum())
+        rep = wt.level_set_report(tf)
+        log_s = rep.log_thresholds
+        assert log_s[-1] == np.log(3.0)
+        measures = [masses[np.log(tf.values) > ls].sum() for ls in log_s]
+        np.testing.assert_allclose(np.exp(rep.log_measures), measures, rtol=1e-12)
+        want = max(math.exp(ls) * m for ls, m in zip(log_s, measures))
         assert abs(rep.quasi_norm - want) <= 1e-12 * want
-        assert rep.monotone()
+        assert np.all(np.diff(rep.log_measures) <= 1e-12)
 
     def test_default_grid_brackets_constant_input(self):
         # constant |Tf| = c: the true quasi-norm is c * M; the grid's best
@@ -105,14 +111,6 @@ class TestLevelSetReport:
         assert rep.quasi_norm >= truth * math.exp(-spacing) * (1.0 - 1e-12)
         assert rep.log_thresholds.size == 64
         assert rep.metadata["cells"] == 3
-
-    def test_f_norm_scales(self):
-        tf, _ = self.make_tf([3.0, 1.0, 2.0])
-        one = wt.level_set_report(tf, f_norm=1.0)
-        two = wt.level_set_report(tf, f_norm=2.0)
-        scaled = wt.level_set_report(tf, f_norm=LogScaled.from_float(2.0))
-        assert abs(two.log_quasi_norm - (one.log_quasi_norm - math.log(2))) < 1e-12
-        assert abs(scaled.log_quasi_norm - two.log_quasi_norm) < 1e-12
 
     def test_all_zero_input(self):
         tf, _ = self.make_tf([0.0, 0.0])
@@ -485,6 +483,10 @@ class TestRankOneProbes:
         with pytest.raises(ValueError):
             wt.rank_one_quasinorm_exact(wt.LemmaKernelSpec("L41", 1))
 
+    def test_probe_requires_rank_one_kernel(self):
+        with pytest.raises(ValueError):
+            wt.weak_quasinorm_probe(wt.LemmaKernelSpec("L41", 1), [1.5])
+
     def test_probe_dimension_limit(self):
         spec = wt.LemmaKernelSpec("L42", 3, mu=1.0, nu=0.5)
         with pytest.raises(NotImplementedError):
@@ -499,18 +501,20 @@ class TestTubeGeometry:
             np.testing.assert_allclose(q[:, 0], np.ones(n) / math.sqrt(n))
 
     def test_membership(self):
+        # the shared tube: axis band ((4/3)|z|, (3/2)|z|) along the diagonal
+        # and the perpendicular half-width, in the rotated frame
         n, eta = 2, 4.0
         zn = math.sqrt(n) * eta
-        member = wt.tube_membership(n, eta)
-        q = wt.tube_axis_basis(n)
+        q, (lo, hi), w = wt._tube(n, eta, perp_half=0.75)
+        np.testing.assert_array_equal(q, wt.tube_axis_basis(n))
+        assert (lo, hi, w) == (4.0 * zn / 3.0, 1.5 * zn, 0.75)
+        assert wt._tube(n, eta)[2] == 1.0
         inside = 1.45 * zn * q[:, 0] + 0.5 * q[:, 1]
         low = 1.2 * zn * q[:, 0]
         wide = 1.45 * zn * q[:, 0] + 1.5 * q[:, 1]
-        mirrored = -1.45 * zn * q[:, 0]
-        got = member(np.stack([inside, low, wide, mirrored]))
-        assert got.tolist() == [True, False, False, True]
-        one_sided = wt.tube_membership(n, eta, positive_only=True)
-        assert one_sided(mirrored[None, :]).tolist() == [False]
+        coords = np.stack([inside, low, wide]) @ q
+        member = (lo < coords[:, 0]) & (coords[:, 0] < hi) & (np.abs(coords[:, 1]) < w)
+        assert member.tolist() == [True, False, False]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -525,6 +529,12 @@ class TestTubeGeometry:
             wt.CounterexampleConfig(
                 alpha=MultiIndex.of(2, 1), etas=(4.0,), n=2, ball_radius=-1.0
             )
+        for key in ("grid_axis", "grid_perp", "ball_radial", "ball_angular"):
+            for bad in (0, -3):
+                with pytest.raises(ValueError, match=key):
+                    wt.CounterexampleConfig(
+                        alpha=MultiIndex.of(2, 1), etas=(4.0,), n=2, **{key: bad}
+                    )
 
     def test_grid_points_inside_tube_with_exact_mass(self):
         cfg = wt.CounterexampleConfig(
@@ -537,15 +547,14 @@ class TestTubeGeometry:
             ball_angular=16,
         )
         pts, log_cell = wt._tube_grid(cfg, 4.0)
-        member = wt.tube_membership(2, 4.0, positive_only=True)
-        assert bool(np.all(member(pts)))
+        q, (lo, hi), w = wt._tube(2, 4.0, cfg.tube_perp_half)
+        coords = pts @ q
+        assert np.all((lo < coords[:, 0]) & (coords[:, 0] < hi))
+        assert np.all(np.abs(coords[:, 1]) < w)
         # total mass: pi^{n/2} times a product of one-dimensional integrals
         # of e^{u^2}, via int_0^x e^{u^2} du = e^{x^2} dawsn(x)
-        zn = math.sqrt(2.0) * 4.0
-        lo, hi = 4.0 * zn / 3.0, 1.5 * zn
         f_log = lambda u: u * u + math.log(special.dawsn(u))
         log_axis = f_log(hi) + math.log1p(-math.exp(f_log(lo) - f_log(hi)))
-        w = cfg.tube_perp_half
         log_perp = math.log(2.0 * math.exp(w * w) * special.dawsn(w))
         want = math.log(math.pi) + log_axis + log_perp
         mass_logs = log_cell + np.sum(pts * pts, axis=1)
