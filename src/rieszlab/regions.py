@@ -60,23 +60,40 @@ def chi_batch(x: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return 1.0 - t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
 
 
+# candidate rows per draw call; fixed, so a sample's first rows never depend
+# on how many are asked for
+_DRAW_BLOCK = 1024
+
+
+def _membership_rows(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """membership_u of each row pair of X and Y, both of shape (m, n)."""
+    norm = np.linalg.norm
+    return norm(X - Y, axis=1) * (1.0 + norm(X, axis=1) + norm(Y, axis=1))
+
+
+def _unit_rows(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
+    """m rows of uniform directions in R^n."""
+    D = rng.normal(size=(m, n))
+    return D / np.linalg.norm(D, axis=1, keepdims=True)
+
+
 def _draw_pairs(
     rng: np.random.Generator, n: int, count: int, draw
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(X, Y) rows of shape (count, n) from repeated draw(rng) -> (x, y), or
-    None for a rejected draw, kept in draw order.
+    """(X, Y) rows of shape (count, n) from repeated draw(rng, m) -> (X, Y,
+    keep) on blocks of m = _DRAW_BLOCK candidate rows; the rows where the
+    boolean keep is set are accepted, in draw order.
 
-    Row k depends only on the draws before it, so the first rows of a larger
+    Row k depends only on the blocks before it, so the first rows of a larger
     sample equal a smaller sample from the same seed.
     """
-    X, Y = np.empty((count, n)), np.empty((count, n))
-    k = 0
-    while k < count:
-        pair = draw(rng)
-        if pair is not None:
-            X[k], Y[k] = pair
-            k += 1
-    return X, Y
+    Xs, Ys, got = [np.empty((0, n))], [np.empty((0, n))], 0
+    while got < count:
+        X, Y, keep = draw(rng, _DRAW_BLOCK)
+        Xs.append(X[keep])
+        Ys.append(Y[keep])
+        got += len(Xs[-1])
+    return np.concatenate(Xs)[:count], np.concatenate(Ys)[:count]
 
 
 def sample_local_pairs(
@@ -95,14 +112,12 @@ def sample_local_pairs(
     rather than reshuffles.
     """
 
-    def draw(rng):
-        x = rng.uniform(-radius, radius, size=n)
-        cap = delta / (1.0 + 2.0 * np.linalg.norm(x) + 1.0)
-        dist = math.exp(rng.uniform(math.log(min_dist), math.log(cap)))
-        direction = rng.normal(size=n)
-        direction /= np.linalg.norm(direction)
-        y = x + dist * direction
-        return (x, y) if in_N(delta, x, y) else None
+    def draw(rng, m):
+        X = rng.uniform(-radius, radius, size=(m, n))
+        cap = delta / (1.0 + 2.0 * np.linalg.norm(X, axis=1) + 1.0)
+        dist = np.exp(rng.uniform(math.log(min_dist), np.log(cap)))
+        Y = X + dist[:, None] * _unit_rows(rng, m, n)
+        return X, Y, _membership_rows(X, Y) <= delta
 
     return _draw_pairs(rng, n, count, draw)
 
@@ -116,11 +131,10 @@ def sample_global_pairs(
     """Seeded pair rows (X, Y) in the global region (complement of the
     delta=1 set), prefix-nested like the local sampler."""
 
-    def draw(rng):
-        x = rng.uniform(-radius, radius, size=n)
-        y = rng.uniform(-radius, radius, size=n)
-        if np.linalg.norm(x) < 1e-9 or in_N(1.0, x, y):
-            return None
-        return x, y
+    def draw(rng, m):
+        X = rng.uniform(-radius, radius, size=(m, n))
+        Y = rng.uniform(-radius, radius, size=(m, n))
+        keep = (np.linalg.norm(X, axis=1) >= 1e-9) & (_membership_rows(X, Y) > 1.0)
+        return X, Y, keep
 
     return _draw_pairs(rng, n, count, draw)

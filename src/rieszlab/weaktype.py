@@ -27,7 +27,13 @@ from rieszlab.geometry import MultiIndex
 from rieszlab.kernels import riesz_kernel_batch
 from rieszlab.logscaled import LogScaled, signed_logsumexp
 from rieszlab.quadrature import gauss_legendre
-from rieszlab.regions import _draw_pairs, sample_global_pairs, sample_local_pairs
+from rieszlab.regions import (
+    _draw_pairs,
+    _membership_rows,
+    _unit_rows,
+    sample_global_pairs,
+    sample_local_pairs,
+)
 
 __all__ = [
     "gamma_inv_ball_log",
@@ -599,12 +605,12 @@ def _sampler_shell(n: int, lo: float, hi: float):
     """|x| log-uniform on [0.3, 6], y in a uniform direction with |y|/|x|
     uniform on [lo, hi]."""
 
-    def draw(rng: np.random.Generator):
-        x = rng.normal(size=n)
-        x *= math.exp(rng.uniform(math.log(0.3), math.log(6.0))) / np.linalg.norm(x)
-        d = rng.normal(size=n)
-        d /= np.linalg.norm(d)
-        return x, d * rng.uniform(lo, hi) * np.linalg.norm(x)
+    def draw(rng: np.random.Generator, m: int):
+        U = _unit_rows(rng, m, n)
+        radius = np.exp(rng.uniform(math.log(0.3), math.log(6.0), size=m))
+        D = _unit_rows(rng, m, n)
+        ratio = rng.uniform(lo, hi, size=m)
+        return U * radius[:, None], D * (ratio * radius)[:, None], np.ones(m, dtype=bool)
 
     return lambda rng, count: _draw_pairs(rng, n, count, draw)
 
@@ -618,44 +624,38 @@ def _sampler_peak(n: int, r0_lo: float, r0_hi: float):
     and (when the window reaches below 1) the boundary corner 1 - r0 of
     order 1/|x|^2 where the blocks brush both the separation constraint and
     their growth bound.  The perpendicular offset mixes unit scale with the
-    sqrt(1-r0) scale of the block Gaussians.
+    sqrt(1-r0) scale of the block Gaussians.  Every quantity is drawn for
+    every row of a block; rows outside the window or the global region, and
+    rows whose perpendicular direction degenerates, are masked out.
     """
     spans_small = r0_lo < 1.0
 
-    def draw(rng: np.random.Generator):
-        x = rng.normal(size=n)
-        x *= math.exp(rng.uniform(math.log(0.5), math.log(8.0))) / np.linalg.norm(x)
-        x_norm = float(np.linalg.norm(x))
-        mode = rng.integers(3) if spans_small else 0
-        if mode == 1:
-            gap = math.exp(rng.uniform(math.log(1e-7), math.log(0.5)))
-            side = 1.0 if (r0_hi > 1.0 and rng.uniform() < 0.5) else -1.0
-            r0 = 1.0 + side * gap
-        elif mode == 2:
-            u = math.exp(rng.uniform(math.log(1.0 / 32.0), math.log(32.0)))
-            r0 = 1.0 - u / (x_norm * x_norm)
-        else:
-            r0 = rng.uniform(r0_lo, r0_hi)
-        if not (r0_lo <= r0 <= r0_hi):
-            return None
-        if rng.uniform() < 0.5 and r0 < 1.0:
-            scale = math.sqrt(max(1.0 - r0, 1e-12))
-        else:
-            scale = 1.0
+    def draw(rng: np.random.Generator, m: int):
+        U = _unit_rows(rng, m, n)
+        radius = np.exp(rng.uniform(math.log(0.5), math.log(8.0), size=m))
+        X, x_sq = U * radius[:, None], radius * radius
+        mode = rng.integers(3, size=m) if spans_small else np.zeros(m, dtype=int)
+        gap = np.exp(rng.uniform(math.log(1e-7), math.log(0.5), size=m))
+        side = np.where((r0_hi > 1.0) & (rng.uniform(size=m) < 0.5), 1.0, -1.0)
+        corner = np.exp(rng.uniform(math.log(1.0 / 32.0), math.log(32.0), size=m)) / x_sq
+        uniform = rng.uniform(r0_lo, r0_hi, size=m)
+        r0 = np.select([mode == 1, mode == 2], [1.0 + side * gap, 1.0 - corner], uniform)
+        keep = (r0_lo <= r0) & (r0 <= r0_hi)
+        scale = np.where(
+            (rng.uniform(size=m) < 0.5) & (r0 < 1.0), np.sqrt(np.maximum(1.0 - r0, 1e-12)), 1.0
+        )
         if n > 1:
-            raw = rng.normal(size=n)
-            perp = raw - (raw @ x) / (x @ x) * x
-            norm = np.linalg.norm(perp)
-            if norm < 1e-12:
-                return None
-            perp *= abs(rng.normal()) * scale / norm
+            raw = rng.normal(size=(m, n))
+            perp = raw - (np.einsum("ij,ij->i", raw, X) / x_sq)[:, None] * X
+            perp_norm = np.linalg.norm(perp, axis=1)
+            keep &= perp_norm >= 1e-12
+            with np.errstate(divide="ignore", invalid="ignore"):
+                perp *= (np.abs(rng.normal(size=m)) * scale / perp_norm)[:, None]
         else:
-            perp = np.zeros(1)
-        y = r0 * x + perp
-        sep = float(np.linalg.norm(x - y))
-        if sep * (1.0 + x_norm + np.linalg.norm(y)) <= 1.0:
-            return None
-        return x, y
+            perp = np.zeros((m, 1))
+        Y = r0[:, None] * X + perp
+        keep &= _membership_rows(X, Y) > 1.0
+        return X, Y, keep
 
     return lambda rng, count: _draw_pairs(rng, n, count, draw)
 
@@ -835,6 +835,7 @@ def _build_registry() -> dict[str, SweepSpec]:
         "case-2.1",
         "second-half integral against |x|^{-n} when the peak sits at r0 <= 1/3",
         per_a(second_half("full"), x_power(-n), _sampler_peak(n, 0.02, 1.0 / 3.0)),
+        count_factor=4,
     )
     add(
         "case-2.2",
@@ -859,7 +860,12 @@ def _build_registry() -> dict[str, SweepSpec]:
         per_a(second_half("edge"), growth_angular, around),
         count_factor=4,
     )
-    add("A-growth", "block A against (1+|x|)^n", per_a(block_a, growth, below))
+    add(
+        "A-growth",
+        "block A against (1+|x|)^n",
+        per_a(block_a, growth, below),
+        count_factor=16,
+    )
     add(
         "A10",
         "block A at a = 0 against the angular comparison",
@@ -869,6 +875,7 @@ def _build_registry() -> dict[str, SweepSpec]:
         "A11",
         "block A at a = 1 against the angular comparison",
         per_a(block_a, angular, below, a_values=(1,)),
+        count_factor=16,
     )
     add(
         "A2-small",

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from rieszlab.regions import (
+    _DRAW_BLOCK,
+    _draw_pairs,
     chi,
     chi_batch,
     in_N,
@@ -69,3 +71,24 @@ def test_global_sampler_properties():
     assert X.shape == Y.shape == (200, 2)
     for x, y in zip(X, Y):
         assert not in_N(1.0, x, y)
+
+
+def test_draw_pairs_skips_empty_blocks_and_keeps_order():
+    # a stub draw numbers its candidate rows; the first block accepts none,
+    # later ones every third row, so the sample spans two accepting blocks
+    sizes = []
+
+    def draw(rng, m):
+        start = len(sizes) * m
+        sizes.append(m)
+        X = np.arange(start, start + m, dtype=float)[:, None]
+        keep = X[:, 0] % 3 == 0 if start else np.zeros(m, dtype=bool)
+        return X, -X, keep
+
+    X, Y = _draw_pairs(np.random.default_rng(0), 1, 500, draw)
+    assert sizes == [_DRAW_BLOCK] * 3
+    want = [v for v in range(_DRAW_BLOCK, 3 * _DRAW_BLOCK) if v % 3 == 0][:500]
+    np.testing.assert_array_equal(X[:, 0], want)
+    np.testing.assert_array_equal(Y, -X)
+    empty = _draw_pairs(np.random.default_rng(0), 2, 0, draw)
+    assert empty[0].shape == empty[1].shape == (0, 2)

@@ -14,7 +14,7 @@ import rieszlab.weaktype as wt
 from rieszlab import MultiIndex
 from rieszlab.apply import apply_glob_log, ball_indicator
 from rieszlab.logscaled import signed_logsumexp
-from rieszlab.regions import sample_global_pairs, sample_local_pairs
+from rieszlab.regions import in_N, sample_global_pairs, sample_local_pairs
 
 
 class TestBallMeasure:
@@ -384,13 +384,56 @@ REGISTRY_SAMPLERS = {
 @pytest.mark.parametrize("name", sorted(REGISTRY_SAMPLERS))
 def test_registry_sampler_is_prefix_nested(name):
     # the doubling check compares a sample with its own first half, so the
-    # first c rows of a 2c draw must be the c draw from the same seed
+    # first c rows of a larger draw must be the c draw from the same seed;
+    # 700 against 2500 rows crosses several draw blocks
     sampler = REGISTRY_SAMPLERS[name]
-    X1, Y1 = sampler(np.random.default_rng(21), 40)
-    X2, Y2 = sampler(np.random.default_rng(21), 80)
-    assert X1.shape == Y1.shape and X2.shape == Y2.shape == (80, X1.shape[1])
-    np.testing.assert_array_equal(X2[:40], X1)
-    np.testing.assert_array_equal(Y2[:40], Y1)
+    for small, large in ((40, 80), (700, 2500)):
+        X1, Y1 = sampler(np.random.default_rng(21), small)
+        X2, Y2 = sampler(np.random.default_rng(21), large)
+        assert X1.shape == Y1.shape == (small, X1.shape[1])
+        assert X2.shape == Y2.shape == (large, X1.shape[1])
+        np.testing.assert_array_equal(X2[:small], X1)
+        np.testing.assert_array_equal(Y2[:small], Y1)
+
+
+def _peak_window(lo, hi):
+    def accepts(x, y):
+        # y = r0 x + perp with perp orthogonal to x
+        r0 = (x @ y) / (x @ x)
+        return lo - 1e-12 <= r0 <= hi + 1e-12 and not in_N(1.0, x, y)
+
+    return accepts
+
+
+def _shell_band(lo, hi):
+    def accepts(x, y):
+        ratio = np.linalg.norm(y) / np.linalg.norm(x)
+        return lo - 1e-12 <= ratio <= hi + 1e-12
+
+    return accepts
+
+
+REGISTRY_ACCEPTS = {
+    "shell-far": _shell_band(2.0, 4.0),
+    "shell-near": _shell_band(0.05, 2.0),
+    "peak-low": _peak_window(0.02, 1.0 / 3.0),
+    "peak-below-1": _peak_window(_THIRD, 1.0 - 1e-9),
+    "peak-around-1": _peak_window(_THIRD, 2.0),
+    "peak-high": _peak_window(2.0, 4.0),
+    "local-n1": lambda x, y: in_N(2.0, x, y),
+    "local-n2": lambda x, y: in_N(2.0, x, y),
+    "global": lambda x, y: not in_N(1.0, x, y),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY_SAMPLERS))
+def test_registry_sampler_rows_pass_its_acceptance_test(name):
+    # every returned row, over several draw blocks, satisfies the scalar
+    # form of the sampler's acceptance predicate
+    X, Y = REGISTRY_SAMPLERS[name](np.random.default_rng(4), 2500)
+    accepts = REGISTRY_ACCEPTS[name]
+    assert np.all(np.isfinite(X)) and np.all(np.isfinite(Y))
+    assert all(accepts(x, y) for x, y in zip(X, Y))
 
 
 class TestRegistry:
