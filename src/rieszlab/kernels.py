@@ -8,7 +8,11 @@ The Riesz kernel of order alpha is the one-dimensional integral
 
 with c_alpha = (-1)^|alpha| / (Gamma(|alpha|/2) pi^{n/2}).  `riesz_kernel`
 evaluates one pair by adaptive quadrature with an error estimate;
-`riesz_kernel_batch` evaluates many pairs on a fixed composite rule.
+`riesz_kernel_batch` evaluates many pairs on a fixed composite rule.  It
+sums each pair's rule as floats: g = log weight - |u|^2 is shifted by its
+largest value over the nodes, each term is exp(g - shift) times H_alpha(u)
+formed as a float product, and terms with g - shift below -700 are exactly
+0 (so exp never takes an argument in its slow underflow range).
 """
 
 from __future__ import annotations
@@ -21,7 +25,9 @@ import numpy as np
 
 from rieszlab.geometry import MultiIndex
 from rieszlab.hermite import hermite1d
-from rieszlab.logscaled import LogScaled, signed_logsumexp
+from rieszlab.logscaled import NEGLIGIBLE_LOGMAG, LogScaled
+# not called here; bench/workloads.py traces patch kernels.signed_logsumexp
+from rieszlab.logscaled import signed_logsumexp  # noqa: F401
 from rieszlab.quadrature import NonConvergenceError, gauss_legendre
 
 __all__ = [
@@ -246,6 +252,18 @@ def riesz_kernel_batch(
     orders 1-4) it is at most 2.9e-7 down to separation 2.3e-4; below
     that the fixed rule is unconverged, with 18 of 25 pairs off by more
     than 1e-6 and the worst by 3.1e-4 (alpha (2,2) at separation 3.8e-5).
+
+    Each pair's rule is summed as floats under one Gaussian shift: with
+    g = log weight - |u|^2 and shift = max over the nodes of g, the sum is
+    exp(shift) times the sum of exp(g - shift) H_alpha(u), with H_alpha the
+    float product of its one-dimensional Hermite factors.  Terms with
+    g - shift < -NEGLIGIBLE_LOGMAG (-700) are exactly 0, at most 1e-304 of
+    the largest weight; on far tube/ball pairs that is a large share of
+    the nodes.  A Hermite factor that overflows at a node that is kept
+    raises ValueError.  That takes an order in the hundreds: H_40 at
+    x = 0.5, y = 1.5 overflows only at dropped nodes, and the value matches
+    an mpmath reference to 1e-9.  Every operation is row-local, so no value
+    depends on `chunk`.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -261,33 +279,54 @@ def riesz_kernel_batch(
     r, inv_s, logw = _batch_rule(n, order)
     pref = _riesz_prefactor(n, order)
     m = X.shape[0]
+    rows = min(chunk, m)
+    u_buf = np.empty((n, rows, r.size))
+    g_buf = np.empty((rows, r.size))
+    live_buf = np.empty((rows, r.size))
     signs = np.empty(m, dtype=int)
     logmags = np.empty(m, dtype=float)
-    for start in range(0, m, chunk):
-        # u[j] is coordinate j at every (pair, node), shape (rows, nodes), so
-        # each operation runs over contiguous node rows.  The operations and
-        # their order match a one-pair evaluation: no value depends on chunk.
-        xb = X[start : start + chunk].T[:, :, None]
-        yb = Y[start : start + chunk].T[:, :, None]
-        u = yb * -r
-        u += xb
-        u *= inv_s
-        usq = u[0] * u[0]
-        for j in range(1, n):
-            usq += u[j] * u[j]
-        h_sign = np.ones_like(usq)
-        term_log = np.zeros_like(usq)
-        for j, k in enumerate(alpha):
-            if k == 0:
-                continue
-            hv = _hermite_batch(k, u[j])
-            h_sign *= np.sign(hv)
+    # a Hermite factor may overflow at a dead node, whose term is 0; an
+    # overflow at a live node raises after the row sums
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, m, chunk):
+            # u[j] is coordinate j at every (pair, node), shape (rows, nodes),
+            # so each operation runs over contiguous node rows.  Every
+            # operation is row-local: no value depends on chunk.
+            xb = X[start : start + chunk].T[:, :, None]
+            yb = Y[start : start + chunk].T[:, :, None]
+            b = xb.shape[1]
+            u, g, live = u_buf[:, :b], g_buf[:b], live_buf[:b]
+            np.multiply(yb, -r, out=u)
+            u += xb
+            u *= inv_s
+            # g = log weight - |u|^2, shifted by its row maximum
+            np.multiply(u[0], u[0], out=g)
+            for j in range(1, n):
+                g += np.multiply(u[j], u[j], out=live)
+            np.subtract(logw, g, out=g)
+            shift = g.max(axis=1)
+            g -= shift[:, None]
+            h = None
+            for j, k in enumerate(alpha):
+                if k:
+                    hv = _hermite_batch(k, u[j])
+                    h = hv if h is None else np.multiply(h, hv, out=h)
+            # term = exp(g) * H at live nodes, g >= -NEGLIGIBLE_LOGMAG, and
+            # exactly 0 at dead ones; the clip keeps exp off its slow
+            # underflow range
+            np.greater_equal(g, -NEGLIGIBLE_LOGMAG, out=live)
+            np.maximum(g, -NEGLIGIBLE_LOGMAG, out=g)
+            np.exp(g, out=g)
+            g *= live
+            g *= h
+            total = g.sum(axis=1)
+            bad = ~np.isfinite(total)
+            if bad.any():
+                # 0 * inf where H overflowed at a dead node: that term is 0
+                total[bad] = np.where(live[bad] != 0.0, g[bad], 0.0).sum(axis=1)
+                if not np.isfinite(total).all():
+                    raise ValueError(f"Hermite factor of order {order} overflows at a live node")
             with np.errstate(divide="ignore"):
-                term_log += np.log(np.abs(hv))
-        term_log += logw
-        term_log -= usq
-        term_log[h_sign == 0.0] = -np.inf
-        sgn, lm = signed_logsumexp(term_log, h_sign, axis=1)
-        signs[start : start + chunk] = sgn * pref.sign
-        logmags[start : start + chunk] = lm + pref.logmag
+                logmags[start : start + chunk] = np.log(np.abs(total)) + shift + pref.logmag
+            signs[start : start + chunk] = np.sign(total).astype(int) * pref.sign
     return signs, logmags

@@ -1378,10 +1378,11 @@ def counterexample_lower_bound(
 ) -> CounterexampleResult:
     """Tube-restricted weak quasi-norm lower bounds per eta, with growth fit.
 
-    Per-eta work is independent; jobs > 1 runs the etas in a process pool.
+    Per-eta work is independent; jobs > 1 runs the etas in a process pool,
+    largest eta first, since a task's cost grows with its axis cell count.
     Results merge in eta order, so worker count never changes the output.
     """
-    tasks = [(cfg, eta) for eta in cfg.etas]
+    tasks = [(cfg, eta) for eta in sorted(cfg.etas, reverse=True)]
     if jobs is not None and jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             produced = dict(pool.map(_eta_job, tasks))

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -14,8 +15,9 @@ from rieszlab import kernels
 from rieszlab.geometry import MultiIndex
 from rieszlab.hermite import gamma_h
 from rieszlab.kernels import heat_kernel, riesz_kernel, riesz_kernel_batch
+from rieszlab.logscaled import NEGLIGIBLE_LOGMAG
 from rieszlab.quadrature import NonConvergenceError
-from rieszlab.weaktype import _fd_gradient_logs
+from rieszlab.weaktype import _fd_gradient_logs, _tube
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 sys.path.insert(0, BENCH)
@@ -171,6 +173,89 @@ def test_batch_kernel_error_sweep():
             err = abs(s[0] * math.exp(lm[0] - scale) - kv.sign * math.exp(kv.logmag - scale))
             worst = max(worst, err)
     assert worst <= 3e-7
+
+
+def _tube_ball_pairs(eta: float, count: int, rng):
+    """count (x, y) with x in the n = 2 counterexample tube and y in the
+    unit ball at (eta, eta)."""
+    q, (lo, hi), w = _tube(2, eta)
+    for _ in range(count):
+        x = np.array([rng.uniform(lo, hi), rng.uniform(-w, w)]) @ q.T
+        d = rng.normal(size=2)
+        y = np.full(2, eta) + d / np.linalg.norm(d) * math.sqrt(rng.uniform())
+        yield x, y
+
+
+def test_batch_kernel_tube_pairs_match_scalar():
+    # far tube/ball pairs, where a large share of the rule's terms lie more
+    # than NEGLIGIBLE_LOGMAG below their row's largest and are summed as 0;
+    # the bound is the worst error of the all-terms sum (1.48e-12, at eta 20)
+    rng = np.random.default_rng(31)
+    worst, dead = 0.0, []
+    for eta in (4.0, 10.0, 20.0):
+        for entries in ((1, 0), (1, 1), (2, 1), (2, 2), (3, 2)):
+            alpha = MultiIndex.of(*entries)
+            r, inv_s, logw = kernels._batch_rule(2, alpha.order)
+            for x, y in _tube_ball_pairs(eta, 3, rng):
+                kv = riesz_kernel(alpha, x, y).value
+                s, lm = riesz_kernel_batch(alpha, x[None, :], y[None, :])
+                scale = _log_mass(alpha, x, y)
+                err = abs(s[0] * math.exp(lm[0] - scale) - kv.sign * math.exp(kv.logmag - scale))
+                worst = max(worst, err)
+                u = (x[:, None] - np.outer(y, r)) * inv_s
+                g = logw - (u * u).sum(axis=0)
+                dead.append(np.mean(g - g.max() < -NEGLIGIBLE_LOGMAG))
+    assert np.mean(dead) >= 0.4
+    assert worst <= 1.5e-12
+
+
+def test_batch_kernel_exp_stays_off_underflow(monkeypatch):
+    # np.exp is 10-100x slower on arguments below about -708
+    seen = []
+
+    class _CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def exp(a, *args, **kwargs):
+            seen.append(float(np.min(a)))
+            return np.exp(a, *args, **kwargs)
+
+    pairs = list(_tube_ball_pairs(20.0, 64, np.random.default_rng(3)))
+    X = np.array([x for x, _ in pairs])
+    Y = np.array([y for _, y in pairs])
+    kernels._batch_rule(2, 3)
+    monkeypatch.setattr(kernels, "np", _CountingNumpy())
+    riesz_kernel_batch(MultiIndex.of(2, 1), X, Y, chunk=16)
+    assert len(seen) == 4 and min(seen) == -NEGLIGIBLE_LOGMAG
+
+
+def test_batch_kernel_zero_hermite_factor():
+    # H_1(u_1) = 2 u_1 = 0 at every node when x_1 = y_1 = 0: an exact zero,
+    # which leaves the other rows of its block alone
+    alpha = MultiIndex.of(1, 0)
+    X = np.array([[0.0, 0.3], [0.2, 0.3]])
+    Y = np.array([[0.0, 0.9], [0.4, 0.9]])
+    s, lm = riesz_kernel_batch(alpha, X, Y)
+    assert s[0] == 0 and lm[0] == -np.inf
+    s_one, lm_one = riesz_kernel_batch(alpha, X[1], Y[1])
+    assert s[1] == s_one[0] != 0 and lm[1] == lm_one[0]
+
+
+def test_batch_kernel_hermite_overflow():
+    # H_40 overflows at the far rule nodes of this pair, where the Gaussian
+    # leaves nothing: those terms are 0, and the value matches a 30-digit
+    # mpmath reference, kernel_reference((40,), [0.5], [1.5])
+    x, y = np.array([[0.5]]), np.array([[1.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s, lm = riesz_kernel_batch(MultiIndex.of(40), x, y)
+    ref = (-1, 65.74151517305586, 65.74151517305587)
+    assert oracle.relative_error(int(s[0]), float(lm[0]), ref) <= 1e-8
+    # H_300 overflows where the terms live: no number is right, so it raises
+    with pytest.raises(ValueError, match="order 300"):
+        riesz_kernel_batch(MultiIndex.of(300), x, y)
 
 
 def test_batch_kernel_rows_independent_of_chunk():

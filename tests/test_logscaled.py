@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rieszlab.logscaled import LogScaled, log_sum, signed_logsumexp
+from rieszlab.logscaled import NEGLIGIBLE_LOGMAG, LogScaled, log_sum, signed_logsumexp
 
 
 def test_constructors_and_invariants():
@@ -126,3 +126,48 @@ def test_signed_logsumexp_edge_cases():
     s1, l1 = signed_logsumexp(logs.T, axis=1)
     np.testing.assert_allclose(l0, l1)
     assert np.array_equal(s0, s1)
+
+
+def _old_signed_logsumexp(logmags, signs):
+    # the all-terms formula: every entry exponentiated against the row max
+    shift = np.max(logmags, axis=1, keepdims=True)
+    total = np.sum(np.exp(logmags - shift) * signs, axis=1)
+    return np.sign(total).astype(int), np.log(np.abs(total)) + shift[:, 0]
+
+
+def test_signed_logsumexp_wide_spread_drops_negligible_terms():
+    # entries over [-3000, 0]: those more than NEGLIGIBLE_LOGMAG below the
+    # row max add exactly 0, and the rest sum as a dense float sum does
+    rng = np.random.default_rng(13)
+    logs = rng.uniform(-3000.0, 0.0, size=(40, 64))
+    logs[:, 0] = 0.0
+    signs = rng.choice([-1.0, 1.0], size=logs.shape)
+    signs[:, 0] = 1.0
+    sgn, lm = signed_logsumexp(logs, signs, axis=1)
+    kept = logs >= -NEGLIGIBLE_LOGMAG
+    dense = np.sum(np.where(kept, signs * np.exp(np.where(kept, logs, 0.0)), 0.0), axis=1)
+    assert np.array_equal(sgn, np.sign(dense).astype(int))
+    np.testing.assert_allclose(np.exp(lm) * sgn, dense, rtol=1e-15)
+
+
+def test_signed_logsumexp_denormal_band():
+    # terms 708-745 below the max are denormal as floats; they are dropped,
+    # a change of at most 1e-304 of the max term
+    logs = np.array([[0.0, -710.0, -720.0, -744.0], [-710.0, -720.0, -740.0, -744.0]])
+    sgn, lm = signed_logsumexp(logs, axis=1)
+    assert np.array_equal(sgn, [1, 1])
+    assert lm[0] == 0.0
+    assert lm[1] == pytest.approx(-710.0 + math.log1p(math.exp(-10.0) + math.exp(-30.0)), abs=1e-14)
+    sgn, lm = signed_logsumexp(np.full((1, 4), -np.inf), np.ones((1, 4)), axis=1)
+    assert sgn[0] == 0 and lm[0] == -np.inf
+
+
+def test_signed_logsumexp_unchanged_above_the_cutoff():
+    # with every entry within NEGLIGIBLE_LOGMAG of its row max, the result
+    # is bit-identical to the all-terms formula
+    rng = np.random.default_rng(17)
+    logs = rng.uniform(-NEGLIGIBLE_LOGMAG, 0.0, size=(30, 50)) + rng.uniform(-50, 50, size=(30, 1))
+    signs = rng.choice([-1.0, 1.0], size=logs.shape)
+    sgn, lm = signed_logsumexp(logs, signs, axis=1)
+    old_sgn, old_lm = _old_signed_logsumexp(logs, signs)
+    assert np.array_equal(sgn, old_sgn) and np.array_equal(lm, old_lm)

@@ -709,6 +709,32 @@ class TestTubeTransform:
         assert summary["passed"] is False
         assert math.isnan(summary["slope"])
 
+    def test_worker_count_leaves_result_unchanged(self):
+        # the pool takes the largest eta first but merges in eta order, so
+        # one worker and two give the same bits
+        cfg = wt.CounterexampleConfig(
+            alpha=MultiIndex.of(1, 1),
+            etas=(4.0, 5.0, 6.0),
+            n=2,
+            grid_axis=4,
+            grid_perp=2,
+            ball_radial=4,
+            ball_angular=8,
+        )
+        one = wt.counterexample_lower_bound(cfg, jobs=1)
+        two = wt.counterexample_lower_bound(cfg, jobs=2)
+        assert one.etas == two.etas == (4.0, 5.0, 6.0)
+        assert np.array_equal(one.log_quasi_norms, two.log_quasi_norms)
+        assert one.slope == two.slope and one.residual == two.residual
+        assert one.passed == two.passed
+        for eta in one.etas:
+            a, b = one.reports[eta], two.reports[eta]
+            assert np.array_equal(a.log_thresholds, b.log_thresholds)
+            assert np.array_equal(a.log_measures, b.log_measures)
+            assert a.log_quasi_norm == b.log_quasi_norm
+            assert a.argmax_log_threshold == b.argmax_log_threshold
+            assert a.metadata == b.metadata
+
 
 class TestSlopeFit:
     def test_exact_power_law(self):
