@@ -282,11 +282,12 @@ def riesz_kernel_batch(
     rows = min(chunk, m)
     u_buf = np.empty((n, rows, r.size))
     g_buf = np.empty((rows, r.size))
-    live_buf = np.empty((rows, r.size))
+    sq_buf = np.empty((rows, r.size))
+    dead_buf = np.empty((rows, r.size), dtype=bool)
     signs = np.empty(m, dtype=int)
     logmags = np.empty(m, dtype=float)
-    # a Hermite factor may overflow at a dead node, whose term is 0; an
-    # overflow at a live node raises after the row sums
+    # a Hermite factor may overflow at a dead node, whose term is set to 0;
+    # an overflow at a live node raises after the row sums
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, m, chunk):
             # u[j] is coordinate j at every (pair, node), shape (rows, nodes),
@@ -295,14 +296,14 @@ def riesz_kernel_batch(
             xb = X[start : start + chunk].T[:, :, None]
             yb = Y[start : start + chunk].T[:, :, None]
             b = xb.shape[1]
-            u, g, live = u_buf[:, :b], g_buf[:b], live_buf[:b]
+            u, g, dead = u_buf[:, :b], g_buf[:b], dead_buf[:b]
             np.multiply(yb, -r, out=u)
             u += xb
             u *= inv_s
             # g = log weight - |u|^2, shifted by its row maximum
             np.multiply(u[0], u[0], out=g)
             for j in range(1, n):
-                g += np.multiply(u[j], u[j], out=live)
+                g += np.multiply(u[j], u[j], out=sq_buf[:b])
             np.subtract(logw, g, out=g)
             shift = g.max(axis=1)
             g -= shift[:, None]
@@ -314,18 +315,14 @@ def riesz_kernel_batch(
             # term = exp(g) * H at live nodes, g >= -NEGLIGIBLE_LOGMAG, and
             # exactly 0 at dead ones; the clip keeps exp off its slow
             # underflow range
-            np.greater_equal(g, -NEGLIGIBLE_LOGMAG, out=live)
+            np.less(g, -NEGLIGIBLE_LOGMAG, out=dead)
             np.maximum(g, -NEGLIGIBLE_LOGMAG, out=g)
             np.exp(g, out=g)
-            g *= live
             g *= h
+            np.copyto(g, 0.0, where=dead)
             total = g.sum(axis=1)
-            bad = ~np.isfinite(total)
-            if bad.any():
-                # 0 * inf where H overflowed at a dead node: that term is 0
-                total[bad] = np.where(live[bad] != 0.0, g[bad], 0.0).sum(axis=1)
-                if not np.isfinite(total).all():
-                    raise ValueError(f"Hermite factor of order {order} overflows at a live node")
+            if not np.isfinite(total).all():
+                raise ValueError(f"Hermite factor of order {order} overflows at a live node")
             with np.errstate(divide="ignore"):
                 logmags[start : start + chunk] = np.log(np.abs(total)) + shift + pref.logmag
             signs[start : start + chunk] = np.sign(total).astype(int) * pref.sign

@@ -210,10 +210,11 @@ def test_batch_kernel_tube_pairs_match_scalar():
 
 
 def test_batch_kernel_exp_stays_off_underflow(monkeypatch):
-    # np.exp is 10-100x slower on arguments below about -708
+    # np.exp is 10-100x slower on arguments below about -708; at eta = 20
+    # most nodes of these pairs lie far below that against their row max
     seen = []
 
-    class _CountingNumpy:
+    class _RecordingNumpy:
         def __getattr__(self, name):
             return getattr(np, name)
 
@@ -226,9 +227,9 @@ def test_batch_kernel_exp_stays_off_underflow(monkeypatch):
     X = np.array([x for x, _ in pairs])
     Y = np.array([y for _, y in pairs])
     kernels._batch_rule(2, 3)
-    monkeypatch.setattr(kernels, "np", _CountingNumpy())
+    monkeypatch.setattr(kernels, "np", _RecordingNumpy())
     riesz_kernel_batch(MultiIndex.of(2, 1), X, Y, chunk=16)
-    assert len(seen) == 4 and min(seen) == -NEGLIGIBLE_LOGMAG
+    assert seen and min(seen) >= -NEGLIGIBLE_LOGMAG
 
 
 def test_batch_kernel_zero_hermite_factor():
