@@ -22,8 +22,6 @@ from rieszlab.spectral import (
 from rieszlab.apply import (
     GridFunction,
     PVConfig,
-    apply_glob,
-    apply_loc,
     apply_riesz,
     ball_indicator,
 )
@@ -61,8 +59,6 @@ __all__ = [
     "synthesize",
     "GridFunction",
     "PVConfig",
-    "apply_glob",
-    "apply_loc",
     "apply_riesz",
     "ball_indicator",
     "BOUND_REGISTRY",

@@ -18,7 +18,7 @@ angular cancellation and extrapolate cleanly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -27,21 +27,9 @@ from rieszlab.geometry import MultiIndex
 from rieszlab.kernels import riesz_kernel_batch
 from rieszlab.logscaled import LogScaled, log_sum, signed_logsumexp
 from rieszlab.quadrature import NonConvergenceError, gauss_legendre
-from rieszlab.regions import chi_batch
 
-__all__ = [
-    "GridFunction",
-    "PVConfig",
-    "ball_indicator",
-    "apply_riesz",
-    "apply_loc",
-    "apply_glob",
-    "apply_riesz_log",
-    "apply_loc_log",
-    "apply_glob_log",
-]
+__all__ = ["GridFunction", "PVConfig", "ball_indicator", "apply_riesz"]
 
-_MODES = ("full", "loc", "glob")
 _ANGULAR_NODES = 64
 # Gauss-Legendre order per radial panel, and per axis of the n = 3 box
 _RADIAL_ORDER = 16
@@ -49,6 +37,11 @@ _BOX_ORDER = 24
 # extrapolated values below this fraction of the largest excised integral
 # are treated as converged-to-zero rather than failed cancellation
 _CANCEL_FLOOR = 1e-9
+
+
+def _finite_positive(v: float) -> bool:
+    # written so that NaN fails
+    return v > 0.0 and math.isfinite(v)
 
 
 @dataclass
@@ -90,8 +83,10 @@ class GridFunction:
             self.support_center = np.asarray(self.support_center, dtype=float).reshape(
                 self.n
             )
-        if self.support_radius is not None and self.support_radius <= 0.0:
-            raise ValueError("support radius must be positive")
+            if not np.all(np.isfinite(self.support_center)):
+                raise ValueError("support center must be finite")
+        if self.support_radius is not None and not _finite_positive(self.support_radius):
+            raise ValueError("support radius must be positive and finite")
         if self.log_abs_values is not None:
             self.log_abs_values = np.asarray(self.log_abs_values, dtype=float).reshape(
                 -1
@@ -101,10 +96,9 @@ class GridFunction:
 
 
 def ball_indicator(n: int, center, radius: float) -> GridFunction:
-    """Indicator of a ball, ready for the apply path (not normalized)."""
+    """Indicator of a ball, ready for the apply path (not normalized); the
+    radius must be positive and finite."""
     center = np.asarray(center, dtype=float).reshape(n)
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
 
     def evaluator(points: np.ndarray) -> np.ndarray:
         d = np.linalg.norm(np.atleast_2d(points) - center, axis=1)
@@ -131,12 +125,12 @@ class PVConfig:
     rel_tol: float = 1e-3
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        if not _finite_positive(self.epsilon):
+            raise ValueError("epsilon must be positive and finite")
         if self.levels < 2:
             raise ValueError("need at least two levels to extrapolate")
-        if self.rel_tol <= 0.0:
-            raise ValueError("rel_tol must be positive")
+        if not _finite_positive(self.rel_tol):
+            raise ValueError("rel_tol must be positive and finite")
 
 
 def _angular_rule(n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -180,13 +174,9 @@ def _weighted_kernel_sum(
     x: np.ndarray,
     pts: np.ndarray,
     logw: np.ndarray,
-    mode: str,
 ) -> LogScaled:
-    """sum_j w_j * (mode weight) * K(x, y_j) * f(y_j), in the log domain."""
+    """sum_j w_j * K(x, y_j) * f(y_j), in the log domain."""
     fv = np.asarray(f.evaluator(pts), dtype=float)
-    if mode != "full":
-        c = chi_batch(x, pts)
-        fv = fv * (c if mode == "loc" else 1.0 - c)
     live = fv != 0.0
     if not np.any(live):
         return LogScaled.zero()
@@ -214,22 +204,15 @@ def _polar_nodes(
 
 
 def _shell_sum_log(
-    alpha: MultiIndex,
-    f: GridFunction,
-    x: np.ndarray,
-    r_lo: float,
-    r_hi: float,
-    mode: str,
+    alpha: MultiIndex, f: GridFunction, x: np.ndarray, r_lo: float, r_hi: float
 ) -> LogScaled:
-    """Integral of (mode weight) * kernel * f over the shell r_lo < |y-x| < r_hi."""
+    """Integral of kernel * f over the shell r_lo < |y-x| < r_hi."""
     radial = _radial_rule(r_lo, r_hi, _RADIAL_ORDER, geometric=True)
     pts, logw = _polar_nodes(x, *radial, _ANGULAR_NODES)
-    return _weighted_kernel_sum(alpha, f, x, pts, logw, mode)
+    return _weighted_kernel_sum(alpha, f, x, pts, logw)
 
 
-def _support_sum_log(
-    alpha: MultiIndex, f: GridFunction, x: np.ndarray, mode: str
-) -> LogScaled:
+def _support_sum_log(alpha: MultiIndex, f: GridFunction, x: np.ndarray) -> LogScaled:
     """Quadrature over the support ball of f; x must be clearly outside it.
 
     Polar panels around the support center for n <= 2 put the edge of an
@@ -241,14 +224,14 @@ def _support_sum_log(
     if n <= 2:
         radial = _radial_rule(0.0, rho, _RADIAL_ORDER, geometric=False)
         pts, logw = _polar_nodes(c, *radial, _ANGULAR_NODES)
-        return _weighted_kernel_sum(alpha, f, x, pts, logw, mode)
+        return _weighted_kernel_sum(alpha, f, x, pts, logw)
     nodes, weights = gauss_legendre([-rho, rho], _BOX_ORDER)
     grids = np.meshgrid(*[c[j] + nodes for j in range(n)], indexing="ij")
     pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
     w = np.ones(1)
     for _ in range(n):
         w = np.multiply.outer(w, weights).reshape(-1)
-    return _weighted_kernel_sum(alpha, f, x, pts, np.log(w), mode)
+    return _weighted_kernel_sum(alpha, f, x, pts, np.log(w))
 
 
 def _extrapolate_ladder(
@@ -289,15 +272,8 @@ def _extrapolate_ladder(
     return LogScaled.from_log(math.log(abs(best)) + shift, 1 if best > 0 else -1), err
 
 
-def _apply_log(
-    alpha: MultiIndex,
-    f: GridFunction,
-    x,
-    pv: PVConfig | None,
-    mode: str,
-) -> LogScaled:
-    if mode not in _MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+def _apply_log(alpha: MultiIndex, f: GridFunction, x, pv: PVConfig | None) -> LogScaled:
+    """Transform of f at x as a log-scaled value (safe at any magnitude)."""
     if f.evaluator is None or f.support_center is None or f.support_radius is None:
         raise ValueError(
             "the apply path needs an evaluator plus support_center/support_radius"
@@ -308,12 +284,14 @@ def _apply_log(
         raise ValueError("the transform needs |alpha| >= 1")
     pv = pv or PVConfig()
     x = np.asarray(x, dtype=float).reshape(f.n)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("evaluation point must be finite")
     dist = float(np.linalg.norm(x - f.support_center))
     rho = float(f.support_radius)
 
     clearance = dist - rho
     if clearance >= max(4.0 * pv.epsilon, 0.05 * rho):
-        return _support_sum_log(alpha, f, x, mode)
+        return _support_sum_log(alpha, f, x)
 
     if _is_all_even(alpha) and dist <= rho + 2.0 * pv.epsilon:
         raise ValueError(
@@ -326,43 +304,14 @@ def _apply_log(
 
     radius_cover = dist + rho
     eps = [pv.epsilon / 2.0**i for i in range(pv.levels)]
-    ladder = [_shell_sum_log(alpha, f, x, eps[0], radius_cover, mode)]
+    ladder = [_shell_sum_log(alpha, f, x, eps[0], radius_cover)]
     for i in range(1, pv.levels):
-        shell = _shell_sum_log(alpha, f, x, eps[i], eps[i - 1], mode)
+        shell = _shell_sum_log(alpha, f, x, eps[i], eps[i - 1])
         ladder.append(log_sum([ladder[-1], shell]))
     value, _ = _extrapolate_ladder(ladder, eps, pv.rel_tol)
     return value
 
 
-def apply_riesz_log(
-    alpha: MultiIndex, f: GridFunction, x, pv: PVConfig | None = None
-) -> LogScaled:
-    """Transform of f at x as a log-scaled value (safe at any magnitude)."""
-    return _apply_log(alpha, f, x, pv, "full")
-
-
-def apply_loc_log(alpha, f, x, pv=None) -> LogScaled:
-    """Local part: kernel weighted by the smooth cutoff."""
-    return _apply_log(alpha, f, x, pv, "loc")
-
-
-def apply_glob_log(alpha, f, x, pv=None) -> LogScaled:
-    """Global part: kernel weighted by one minus the cutoff.
-
-    Shares quadrature nodes with the other two modes, so the local and
-    global parts add back to the unsplit value at rounding accuracy.
-    """
-    return _apply_log(alpha, f, x, pv, "glob")
-
-
 def apply_riesz(alpha, f, x, pv=None) -> float:
     """Float-valued transform; raises OverflowError outside float range."""
-    return _apply_log(alpha, f, x, pv, "full").to_float()
-
-
-def apply_loc(alpha, f, x, pv=None) -> float:
-    return _apply_log(alpha, f, x, pv, "loc").to_float()
-
-
-def apply_glob(alpha, f, x, pv=None) -> float:
-    return _apply_log(alpha, f, x, pv, "glob").to_float()
+    return _apply_log(alpha, f, x, pv).to_float()

@@ -1,9 +1,9 @@
-"""Local/global splitting of pairs (x, y).
+"""Seeded samplers of pair rows (x, y) in the local and global regions.
 
-A pair is local at scale delta when |x - y| (1 + |x| + |y|) <= delta.  The
-smooth cutoff chi is 1 on the delta = 1 region, 0 outside the delta = 2
-region, and rides a quintic smoothstep in between, which keeps
-|grad chi| = O(1/|x - y|) on the transition shell.
+A pair is local at scale delta when |x - y| (1 + |x| + |y|) <= delta; the
+local sampler draws inside the delta = 2 region, the global one outside the
+delta = 1 region.  Every sampler draws fixed-size candidate blocks, so a
+larger sample from the same seed extends a smaller one.
 """
 
 from __future__ import annotations
@@ -12,52 +12,7 @@ import math
 
 import numpy as np
 
-__all__ = [
-    "membership_u",
-    "in_N",
-    "chi",
-    "chi_batch",
-    "sample_local_pairs",
-    "sample_global_pairs",
-]
-
-
-def membership_u(x: np.ndarray, y: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return float(np.linalg.norm(x - y) * (1.0 + np.linalg.norm(x) + np.linalg.norm(y)))
-
-
-def in_N(delta: float, x: np.ndarray, y: np.ndarray) -> bool:
-    """Membership in the local region at scale delta (delta 1 or 2 in use)."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    return membership_u(x, y) <= delta
-
-
-def _smoothstep(t: float) -> float:
-    # quintic ramp: value and first two derivatives vanish at both ends
-    if t <= 0.0:
-        return 0.0
-    if t >= 1.0:
-        return 1.0
-    return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
-
-
-def chi(x: np.ndarray, y: np.ndarray) -> float:
-    """Smooth cutoff: 1 on the inner local region, 0 on the global one."""
-    return 1.0 - _smoothstep(membership_u(x, y) - 1.0)
-
-
-def chi_batch(x: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """chi(x, y) for one x against many y; Y has shape (m, n)."""
-    x = np.asarray(x, dtype=float)
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    u = np.linalg.norm(Y - x, axis=1) * (
-        1.0 + np.linalg.norm(x) + np.linalg.norm(Y, axis=1)
-    )
-    t = np.clip(u - 1.0, 0.0, 1.0)
-    return 1.0 - t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
+__all__ = ["sample_local_pairs", "sample_global_pairs"]
 
 
 # candidate rows per draw call; fixed, so a sample's first rows never depend
@@ -66,7 +21,7 @@ _DRAW_BLOCK = 1024
 
 
 def _membership_rows(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """membership_u of each row pair of X and Y, both of shape (m, n)."""
+    """|x - y| (1 + |x| + |y|) for each row pair of X and Y, both (m, n)."""
     norm = np.linalg.norm
     return norm(X - Y, axis=1) * (1.0 + norm(X, axis=1) + norm(Y, axis=1))
 

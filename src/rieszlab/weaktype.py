@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import special
 
-from rieszlab.apply import GridFunction, _polar_nodes
+from rieszlab.apply import GridFunction, _finite_positive, _polar_nodes
 from rieszlab.geometry import MultiIndex
 from rieszlab.kernels import riesz_kernel_batch
 from rieszlab.logscaled import LogScaled, signed_logsumexp
@@ -108,8 +108,10 @@ def gamma_inv_ball_log(
     so the quadrature is one-dimensional no matter the dimension.
     """
     center = np.asarray(center, dtype=float).reshape(n)
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+    if not _finite_positive(radius):
+        raise ValueError("radius must be positive and finite")
+    if not np.all(np.isfinite(center)):
+        raise ValueError("center must be finite")
     c = float(np.linalg.norm(center))
     r, w = gauss_legendre(np.linspace(0.0, radius, panels + 1), order)
     log_terms = (
@@ -243,8 +245,7 @@ def level_set_report(tf: GridFunction, metadata: dict | None = None) -> LevelSet
 # comparison-kernel catalog
 
 
-_KERNEL_IDS = ("L41", "L42", "L43", "L44", "K1a", "K2a")
-_K2A_PIECES = ("full", "near", "mid", "edge")
+_KERNEL_IDS = ("L41", "L42", "L43", "L44")
 
 
 @dataclass(frozen=True)
@@ -252,14 +253,10 @@ class LemmaKernelSpec:
     """One comparison kernel from the boundedness analysis.
 
     L41..L44 are the four weak-(1,1) kernels, each carrying the shared
-    inverse-Gaussian factor e^{-|x|^2+|y|^2}; K1a and K2a are the bare
-    radial-integral pieces of the kernel decomposition (no shared factor),
-    with K2a splittable into its near/mid/edge regions via `piece`
-    (compound ids like "K2a-near" are accepted and normalized).  The regime
-    flag records whether the parameters satisfy the boundedness hypotheses;
-    "inside" is validated for L42 (mu + nu >= n - 2 and mu <= n), while
-    "outside" deliberately allows anything so unboundedness probes can be
-    expressed.
+    inverse-Gaussian factor e^{-|x|^2+|y|^2}.  The regime flag records
+    whether the parameters satisfy the boundedness hypotheses; "inside" is
+    validated for L42 (mu + nu >= n - 2 and mu <= n), while "outside"
+    deliberately allows anything so unboundedness probes can be expressed.
     """
 
     kernel_id: str
@@ -267,30 +264,18 @@ class LemmaKernelSpec:
     mu: float = 0.0
     nu: float = 0.0
     delta: float = 1.0
-    a: int = 0
-    piece: str = "full"
     regime: str = "inside"
 
     def __post_init__(self):
-        kid, piece = self.kernel_id, self.piece
-        if kid.startswith("K2a-"):
-            kid, piece = "K2a", kid.split("-", 1)[1]
-            object.__setattr__(self, "kernel_id", kid)
-            object.__setattr__(self, "piece", piece)
+        kid = self.kernel_id
         if kid not in _KERNEL_IDS:
-            raise ValueError(f"unknown kernel id {self.kernel_id!r}")
-        if piece not in _K2A_PIECES:
-            raise ValueError(f"unknown piece {piece!r}")
-        if kid != "K2a" and piece != "full":
-            raise ValueError("pieces apply to K2a only")
+            raise ValueError(f"unknown kernel id {kid!r}")
         if self.n < 1:
             raise ValueError("n must be positive")
         if self.regime not in ("inside", "outside"):
             raise ValueError("regime must be 'inside' or 'outside'")
         if kid in ("L43", "L44") and self.delta <= 0.0:
             raise ValueError("delta must be positive")
-        if self.a < 0:
-            raise ValueError("a must be nonnegative")
         if kid == "L42" and self.regime == "inside":
             if self.mu + self.nu < self.n - 2.0 - 1e-12 or self.mu > self.n + 1e-12:
                 raise ValueError(
@@ -363,6 +348,8 @@ def _second_half_integral_log(
         |x - r y|^a * u^{-(n+a+2)/2} * exp(-c[(r - r0)^2 |x|^2 + |y_perp|^2]/u)
     restricted to the requested region of r relative to the peak at r0.
     """
+    if piece not in ("full", "near", "mid", "edge"):
+        raise ValueError(f"unknown piece {piece!r}")
     r0, yperp_sq, _, _ = _polar_batch(X, Y)
     x2, xy, y2 = (v[:, None] for v in _row_dots(X, Y))
     r0 = r0[:, None]
@@ -406,10 +393,6 @@ def lemma_kernel_batch(spec: LemmaKernelSpec, x, Y) -> np.ndarray:
     X = np.broadcast_to(np.asarray(x, dtype=float), Y.shape)
     n = spec.n
     kid = spec.kernel_id
-    if kid == "K1a":
-        return _first_half_integral_log(n, spec.a, X, Y)
-    if kid == "K2a":
-        return _second_half_integral_log(n, spec.a, X, Y, spec.piece)
     x_norm = np.linalg.norm(X, axis=1)
     base = -x_norm * x_norm + np.sum(Y * Y, axis=1)
     if kid == "L42":
@@ -421,9 +404,7 @@ def lemma_kernel_batch(spec: LemmaKernelSpec, x, Y) -> np.ndarray:
     if kid == "L41":
         return base + _log_min_growth_angular(n, x_norm, sin_theta)
     if kid == "L43":
-        sep = np.linalg.norm(Y - X, axis=1)
-        in_global = sep * (1.0 + x_norm + y_norm) > 1.0
-        mask = in_global & (y_norm <= 2.0 * x_norm)
+        mask = (_membership_rows(X, Y) > 1.0) & (y_norm <= 2.0 * x_norm)
         with np.errstate(divide="ignore"):
             shape = (n - 1) * (np.log(y_norm) - log_x) if n > 1 else 0.0
         vals = base - spec.delta * yperp_sq + log_x + shape
@@ -1219,13 +1200,13 @@ class CounterexampleConfig:
             raise ValueError("the transform needs |alpha| >= 1")
         if self.alpha.dim != self.n:
             raise ValueError("alpha dimension must match n")
-        if self.ball_radius <= 0.0 or self.tube_perp_half <= 0.0:
-            raise ValueError("radii must be positive")
+        if not (_finite_positive(self.ball_radius) and _finite_positive(self.tube_perp_half)):
+            raise ValueError("radii must be positive and finite")
         for key in ("grid_axis", "grid_perp", "ball_radial", "ball_angular"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
-        if not self.etas or any(e <= 0.0 for e in self.etas):
-            raise ValueError("etas must be positive")
+        if not self.etas or not all(_finite_positive(e) for e in self.etas):
+            raise ValueError("etas must be positive and finite")
         for e in self.etas:
             gap = math.sqrt(self.n) * e / 3.0 - self.ball_radius
             if gap < 0.5:
@@ -1293,7 +1274,7 @@ def _tube_tf_logs(cfg: CounterexampleConfig, eta: float):
     f is the ball indicator at the diagonal point normalized to unit
     measure-norm, and Tf(x) = sum_j w_j K(x, y_j) f with the tube disjoint
     from the ball, so no excision is involved; this is the same integral
-    apply_glob computes there, vectorized over the shared ball nodes.
+    apply_riesz computes there, vectorized over the shared ball nodes.
     """
     n = cfg.n
     z = np.full(n, eta)

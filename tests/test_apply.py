@@ -1,4 +1,5 @@
-"""Tests for the transform apply path: excised ladder, split, support sums."""
+"""Tests for the transform apply path: excised ladder, support sums, and the
+refusal of undefined input."""
 
 import math
 
@@ -7,17 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from rieszlab import MultiIndex
-from rieszlab.apply import (
-    GridFunction,
-    PVConfig,
-    apply_glob,
-    apply_glob_log,
-    apply_loc,
-    apply_loc_log,
-    apply_riesz,
-    apply_riesz_log,
-    ball_indicator,
-)
+from rieszlab.apply import GridFunction, PVConfig, apply_riesz, ball_indicator
 from rieszlab.hermite import gamma_h
 from rieszlab.kernels import riesz_kernel
 from rieszlab.quadrature import NonConvergenceError
@@ -82,6 +73,30 @@ class TestValidation:
         with pytest.raises(ValueError):
             PVConfig(rel_tol=0.0)
 
+    def test_nan_point_rejected(self):
+        f = gaussian_fn(1)
+        with pytest.raises(ValueError):
+            apply_riesz(MultiIndex.of(1), f, np.array([math.nan]))
+
+    def test_pv_config_nan_tolerance_rejected(self):
+        # a NaN tolerance would make every ladder check pass
+        with pytest.raises(ValueError):
+            PVConfig(rel_tol=math.nan)
+
+    def test_pv_config_infinite_epsilon_rejected(self):
+        with pytest.raises(ValueError):
+            PVConfig(epsilon=math.inf)
+
+    def test_nan_support_radius_rejected(self):
+        with pytest.raises(ValueError):
+            GridFunction(
+                n=1,
+                points=np.empty((0, 1)),
+                values=np.empty(0),
+                support_center=np.zeros(1),
+                support_radius=math.nan,
+            )
+
 
 class TestCoefficientLadderOracle:
     """The transform of the lowest family member has a closed form: the
@@ -120,31 +135,6 @@ class TestCoefficientLadderOracle:
             assert abs(got - want) <= 5e-4 * abs(want)
 
 
-class TestSplit:
-    def test_local_plus_global_matches_full(self):
-        # the three modes share quadrature nodes, so the split must add
-        # back at rounding accuracy, not just quadrature accuracy
-        f = gaussian_fn(1)
-        alpha = MultiIndex.of(1)
-        x = np.array([0.8])
-        full = apply_riesz(alpha, f, x)
-        loc = apply_loc(alpha, f, x)
-        glob = apply_glob(alpha, f, x)
-        assert abs(loc + glob - full) <= 1e-12 * abs(full)
-
-    def test_far_point_is_purely_global(self):
-        # x far outside the support: the cutoff vanishes on all of supp(f)
-        f = gaussian_fn(1)
-        alpha = MultiIndex.of(1)
-        x = np.array([9.5])
-        loc = apply_loc_log(alpha, f, x)
-        glob = apply_glob_log(alpha, f, x)
-        full = apply_riesz_log(alpha, f, x)
-        assert loc.sign == 0
-        assert glob.sign == full.sign
-        assert glob.logmag == full.logmag
-
-
 class TestClearancePath:
     def test_even_order_off_support_matches_direct_quadrature(self):
         # far from the support the even-order guard does not apply; the
@@ -153,7 +143,7 @@ class TestClearancePath:
         f = gaussian_fn(1)
         alpha = MultiIndex.of(2)
         x = np.array([9.5])
-        got = apply_riesz_log(alpha, f, x)
+        got = apply_riesz(alpha, f, x)
         shift = 9.5**2
 
         def integrand(y: float) -> float:
@@ -163,7 +153,7 @@ class TestClearancePath:
 
         want, err = quad(integrand, -RADIUS, RADIUS, limit=300, epsrel=1e-11)
         assert err <= 1e-9 * abs(want)
-        assert abs(got.sign * math.exp(got.logmag + shift) - want) <= 1e-9 * abs(want)
+        assert abs(got * math.exp(shift) - want) <= 1e-9 * abs(want)
 
 
 class TestLadderFailure:
@@ -188,3 +178,14 @@ class TestBallIndicator:
     def test_radius_validation(self):
         with pytest.raises(ValueError):
             ball_indicator(1, [0.0], 0.0)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_non_finite_radius_rejected(self, radius):
+        with pytest.raises(ValueError):
+            ball_indicator(1, [0.0], radius)
+
+    def test_nan_center_rejected(self):
+        # with a NaN center the indicator is 0 everywhere and the transform
+        # would read 0.0
+        with pytest.raises(ValueError):
+            ball_indicator(1, [math.nan], 0.5)

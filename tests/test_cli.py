@@ -291,6 +291,12 @@ class TestCounterexampleCommand:
         assert code == 2
         assert "gap" in err
 
+    def test_infinite_eta_maps_to_exit_two(self, capsys):
+        code, out, err = run(capsys, "counterexample", "--alpha", "1,0", "--etas", "4,6,inf")
+        assert code == 2
+        assert out == ""
+        assert "etas must be positive and finite" in err
+
 
 class TestConfigResolution:
     def make_args(self, config=None, **flags):

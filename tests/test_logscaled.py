@@ -2,8 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rieszlab.logscaled import NEGLIGIBLE_LOGMAG, LogScaled, log_sum, signed_logsumexp
 
@@ -171,3 +174,59 @@ def test_signed_logsumexp_unchanged_above_the_cutoff():
     sgn, lm = signed_logsumexp(logs, signs, axis=1)
     old_sgn, old_lm = _old_signed_logsumexp(logs, signs)
     assert np.array_equal(sgn, old_sgn) and np.array_equal(lm, old_lm)
+
+
+_EPS = 2.0**-52
+_LOGS = st.one_of(st.floats(-3000.0, 700.0), st.just(-math.inf))
+
+
+@st.composite
+def _signed_slices(draw):
+    """(logs, signs) of shape (rows, cols); cells are often drawn from a
+    small shared pool, so equal magnitudes of opposite sign, and hence
+    cancellation, come up often."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 12))
+    pool = draw(st.lists(_LOGS, min_size=1, max_size=4))
+    cell = st.one_of(_LOGS, st.sampled_from(pool))
+    logs = draw(st.lists(st.lists(cell, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    signs = draw(
+        st.lists(
+            st.lists(st.sampled_from([-1.0, 1.0]), min_size=cols, max_size=cols),
+            min_size=rows,
+            max_size=rows,
+        )
+    )
+    return np.array(logs), np.array(signs)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_signed_slices())
+@example((np.full((2, 5), -math.inf), np.ones((2, 5))))
+@example((np.array([[700.0, 700.0, -3000.0]]), np.array([[1.0, -1.0, 1.0]])))
+def test_signed_logsumexp_matches_mpmath_fsum(case):
+    # against a 50-digit sum of the exact terms: the error is at most a few
+    # ulp per term of the largest term, plus the rounding of a logmag of
+    # size |logmag| (an absolute error of |logmag| ulp in the log)
+    logs, signs = case
+    got_sign, got_log = signed_logsumexp(logs, signs, axis=1)
+    t_sign, t_log = signed_logsumexp(logs.T, signs.T, axis=0)
+    assert np.array_equal(got_sign, t_sign) and np.array_equal(got_log, t_log)
+    with mpmath.workdps(50):
+        for row in range(logs.shape[0]):
+            terms = [
+                s * mpmath.exp(mpmath.mpf(v))
+                for v, s in zip(logs[row], signs[row])
+                if v != -math.inf
+            ]
+            if not terms:
+                assert got_sign[row] == 0 and got_log[row] == -math.inf
+                continue
+            exact = mpmath.fsum(terms)
+            scale = mpmath.fsum(abs(t) for t in terms)
+            got = got_sign[row] * mpmath.exp(mpmath.mpf(got_log[row]))
+            tol = 4 * len(terms) * _EPS * scale
+            if exact != 0:
+                tol += 4 * (abs(mpmath.log(abs(exact))) + 1) * _EPS * abs(exact)
+            assert abs(got - exact) <= tol
+            if abs(exact) > tol:
+                assert got_sign[row] == mpmath.sign(exact)

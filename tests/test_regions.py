@@ -1,4 +1,4 @@
-"""Local/global region splitting and the smooth cutoff."""
+"""Seeded pair samplers for the local and global regions."""
 
 import math
 
@@ -8,48 +8,33 @@ import pytest
 from rieszlab.regions import (
     _DRAW_BLOCK,
     _draw_pairs,
-    chi,
-    chi_batch,
-    in_N,
-    membership_u,
+    _membership_rows,
     sample_global_pairs,
     sample_local_pairs,
 )
+
+
+def in_N(delta: float, x: np.ndarray, y: np.ndarray) -> bool:
+    """Scalar membership in the local region at scale delta: the samplers'
+    reference, written apart from their vectorized masks."""
+    u = np.linalg.norm(x - y) * (1.0 + np.linalg.norm(x) + np.linalg.norm(y))
+    return float(u) <= delta
 
 
 def test_membership_scale():
     x = np.array([1.0, 0.0])
     y = np.array([1.0, 0.5])
     want = 0.5 * (1.0 + 1.0 + math.sqrt(1.25))
-    assert membership_u(x, y) == pytest.approx(want, rel=1e-14)
+    assert _membership_rows(x[None, :], y[None, :])[0] == pytest.approx(want, rel=1e-14)
     assert in_N(2.0, x, y)
     assert not in_N(1.0, x, y)
-    with pytest.raises(ValueError):
-        in_N(0.0, x, y)
-
-
-def test_chi_plateaus_and_range():
+    # the row form agrees with the scalar form on every row
     rng = np.random.default_rng(21)
-    for _ in range(300):
-        n = int(rng.integers(1, 4))
-        x = rng.uniform(-4, 4, size=n)
-        y = x + rng.normal(size=n) * math.exp(rng.uniform(-6, 1))
-        u = membership_u(x, y)
-        c = chi(x, y)
-        assert 0.0 <= c <= 1.0
-        if u <= 1.0:
-            assert c == 1.0
-        elif u >= 2.0:
-            assert c == 0.0
-
-
-def test_chi_batch_matches_scalar():
-    rng = np.random.default_rng(23)
-    x = rng.uniform(-2, 2, size=2)
-    Y = x[None, :] + rng.normal(size=(40, 2)) * 0.3
-    batch = chi_batch(x, Y)
-    for i in range(40):
-        assert batch[i] == pytest.approx(chi(x, Y[i]), rel=1e-13, abs=1e-13)
+    X, Y = rng.uniform(-4, 4, size=(2, 50, 3))
+    rows = _membership_rows(X, Y)
+    for k, (x, y) in enumerate(zip(X, Y)):
+        assert in_N(rows[k] * (1 + 1e-14), x, y)
+        assert not in_N(rows[k] * (1 - 1e-14), x, y)
 
 
 def test_local_sampler_properties():

@@ -12,9 +12,10 @@ from scipy.optimize import brentq
 
 import rieszlab.weaktype as wt
 from rieszlab import MultiIndex
-from rieszlab.apply import apply_glob_log, ball_indicator
+from rieszlab.apply import apply_riesz, ball_indicator
 from rieszlab.logscaled import signed_logsumexp
-from rieszlab.regions import in_N, sample_global_pairs, sample_local_pairs
+from rieszlab.regions import sample_global_pairs, sample_local_pairs
+from test_regions import in_N
 
 
 class TestBallMeasure:
@@ -49,6 +50,12 @@ class TestBallMeasure:
     def test_radius_validation(self):
         with pytest.raises(ValueError):
             wt.gamma_inv_ball_log(1, [0.0], 0.0)
+
+    def test_non_finite_radius_or_center_rejected(self):
+        # a NaN would otherwise give the measure of the empty set, LogScaled(0)
+        for center, radius in (([0.0], math.nan), ([0.0], math.inf), ([math.nan], 1.0)):
+            with pytest.raises(ValueError):
+                wt.gamma_inv_ball_log(1, center, radius)
 
     def test_radial_measure_branches_agree(self):
         # the asymptotic branch takes over at t = 25; erfi(26) still fits
@@ -120,18 +127,19 @@ class TestLevelSetReport:
 
 
 class TestLemmaKernelSpec:
-    def test_compound_id_normalizes(self):
-        spec = wt.LemmaKernelSpec("K2a-near", 2)
-        assert spec.kernel_id == "K2a"
-        assert spec.piece == "near"
-
     def test_unknown_id(self):
-        with pytest.raises(ValueError):
-            wt.LemmaKernelSpec("K9", 1)
+        # the radial-integral pieces are not catalog kernels
+        for kid in ("K9", "K1a", "K2a"):
+            with pytest.raises(ValueError):
+                wt.LemmaKernelSpec(kid, 1)
 
     def test_piece_only_for_k2a(self):
-        with pytest.raises(ValueError):
+        # pieces belong to the second-half integral alone, which names them
+        with pytest.raises(TypeError):
             wt.LemmaKernelSpec("L42", 1, piece="near")
+        X, Y = np.array([[1.5]]), np.array([[1.2]])
+        with pytest.raises(ValueError):
+            wt._second_half_integral_log(1, 0, X, Y, "nearby")
 
     def test_inside_regime_hypotheses(self):
         with pytest.raises(ValueError):
@@ -145,20 +153,31 @@ class TestLemmaKernelSpec:
         with pytest.raises(ValueError):
             wt.LemmaKernelSpec("L43", 2, delta=0.0)
         with pytest.raises(ValueError):
-            wt.LemmaKernelSpec("K1a", 1, a=-1)
+            wt.LemmaKernelSpec("L44", 2, delta=-1.0)
         with pytest.raises(ValueError):
             wt.LemmaKernelSpec("L41", 0)
         with pytest.raises(ValueError):
             wt.LemmaKernelSpec("L41", 1, regime="maybe")
 
 
+def _first_half(n, a):
+    return lambda X, Y: wt._first_half_integral_log(n, a, X, Y)
+
+
+def _second_half(n, a, piece="full"):
+    return lambda X, Y: wt._second_half_integral_log(n, a, X, Y, piece)
+
+
+def _catalog(spec):
+    return lambda X, Y: wt.lemma_kernel_batch(spec, X, Y)
+
+
 class TestLemmaKernels:
     def test_first_half_erf_oracle(self):
         # n=1, a=0: int_0^{1/2} e^{-(rx-y)^2} dr has an error-function form
-        spec = wt.LemmaKernelSpec("K1a", 1)
         x = np.array([1.7])
         for y in (0.6, -0.9, 2.4):
-            got = float(wt.lemma_kernel_batch(spec, x, np.array([[y]]))[0])
+            got = float(wt._first_half_integral_log(1, 0, x[None, :], np.array([[y]]))[0])
             want = (
                 math.sqrt(math.pi)
                 / (2.0 * 1.7)
@@ -167,10 +186,9 @@ class TestLemmaKernels:
             assert abs(math.exp(got) - want) <= 1e-13 * want
 
     def test_first_half_weighted_oracle(self):
-        spec = wt.LemmaKernelSpec("K1a", 2, a=2)
         x = np.array([1.1, -0.4])
         y = np.array([0.3, 0.8])
-        got = float(wt.lemma_kernel_batch(spec, x, y[None, :])[0])
+        got = float(wt._first_half_integral_log(2, 2, x[None, :], y[None, :])[0])
 
         def integrand(r):
             return (
@@ -189,14 +207,10 @@ class TestLemmaKernels:
             a = int(rng.integers(0, 3))
             x = rng.normal(size=n) * rng.uniform(0.5, 4.0)
             Y = rng.normal(size=(8, n)) * rng.uniform(0.3, 4.0)
-            full = wt.lemma_kernel_batch(wt.LemmaKernelSpec("K2a", n, a=a), x, Y)
+            X = np.broadcast_to(x, Y.shape)
+            full = wt._second_half_integral_log(n, a, X, Y, "full")
             parts = np.stack(
-                [
-                    wt.lemma_kernel_batch(
-                        wt.LemmaKernelSpec("K2a", n, a=a, piece=p), x, Y
-                    )
-                    for p in ("near", "mid", "edge")
-                ]
+                [wt._second_half_integral_log(n, a, X, Y, p) for p in ("near", "mid", "edge")]
             )
             combo = np.logaddexp.reduce(parts, axis=0)
             live = np.isfinite(full)
@@ -212,17 +226,18 @@ class TestLemmaKernels:
         )
         x = np.array([1.4, -0.6])
         Y = rng.normal(size=(12, 2)) * 1.5
-        specs = [
-            wt.LemmaKernelSpec("L41", 2),
-            wt.LemmaKernelSpec("L42", 2, mu=1.0, nu=0.5),
-            wt.LemmaKernelSpec("L43", 2, delta=0.7),
-            wt.LemmaKernelSpec("L44", 2, delta=0.7),
-            wt.LemmaKernelSpec("K1a", 2, a=1),
-            wt.LemmaKernelSpec("K2a", 2, a=1),
+        X = np.broadcast_to(x, Y.shape)
+        kernels = [
+            _catalog(wt.LemmaKernelSpec("L41", 2)),
+            _catalog(wt.LemmaKernelSpec("L42", 2, mu=1.0, nu=0.5)),
+            _catalog(wt.LemmaKernelSpec("L43", 2, delta=0.7)),
+            _catalog(wt.LemmaKernelSpec("L44", 2, delta=0.7)),
+            _first_half(2, 1),
+            _second_half(2, 1),
         ]
-        for spec in specs:
-            base = wt.lemma_kernel_batch(spec, x, Y)
-            turned = wt.lemma_kernel_batch(spec, rot @ x, Y @ rot.T)
+        for kernel in kernels:
+            base = kernel(X, Y)
+            turned = kernel(X @ rot.T, Y @ rot.T)
             live = np.isfinite(base)
             assert np.array_equal(live, np.isfinite(turned))
             np.testing.assert_allclose(turned[live], base[live], atol=1e-9)
@@ -234,17 +249,17 @@ class TestLemmaKernels:
         rng = np.random.default_rng(12)
         X = rng.normal(size=(10, 2)) * 2.0
         Y = rng.normal(size=(10, 2)) * 2.0
-        specs = [
-            wt.LemmaKernelSpec("L41", 2),
-            wt.LemmaKernelSpec("L42", 2, mu=1.0, nu=0.5),
-            wt.LemmaKernelSpec("L43", 2, delta=0.7),
-            wt.LemmaKernelSpec("L44", 2, delta=0.7),
-            wt.LemmaKernelSpec("K1a", 2, a=2),
-            wt.LemmaKernelSpec("K2a", 2, a=1, piece="mid"),
+        kernels = [
+            _catalog(wt.LemmaKernelSpec("L41", 2)),
+            _catalog(wt.LemmaKernelSpec("L42", 2, mu=1.0, nu=0.5)),
+            _catalog(wt.LemmaKernelSpec("L43", 2, delta=0.7)),
+            _catalog(wt.LemmaKernelSpec("L44", 2, delta=0.7)),
+            _first_half(2, 2),
+            _second_half(2, 1, "mid"),
         ]
-        for spec in specs:
-            rows = wt.lemma_kernel_batch(spec, X, Y)
-            single = [wt.lemma_kernel_batch(spec, x, y[None, :])[0] for x, y in zip(X, Y)]
+        for kernel in kernels:
+            rows = kernel(X, Y)
+            single = [kernel(x[None, :], y[None, :])[0] for x, y in zip(X, Y)]
             np.testing.assert_allclose(rows, single, rtol=1e-13, atol=1e-13)
 
     def test_masked_kernels_vanish_off_sector(self):
@@ -579,6 +594,20 @@ class TestTubeGeometry:
                         alpha=MultiIndex.of(2, 1), etas=(4.0,), n=2, **{key: bad}
                     )
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            (key, value)
+            for key in ("etas", "ball_radius", "tube_perp_half")
+            for value in (math.nan, math.inf)
+        ],
+    )
+    def test_config_rejects_non_finite(self, field, bad):
+        kwargs = {"etas": (4.0, 6.0)}
+        kwargs[field] = (4.0, bad) if field == "etas" else bad
+        with pytest.raises(ValueError):
+            wt.CounterexampleConfig(alpha=MultiIndex.of(2, 1), n=2, **kwargs)
+
     def test_grid_points_inside_tube_with_exact_mass(self):
         cfg = wt.CounterexampleConfig(
             alpha=MultiIndex.of(2, 1),
@@ -640,8 +669,9 @@ class TestTubeGeometry:
 
 class TestTubeTransform:
     def test_matches_apply_global_path(self):
-        # the tube pipeline vectorizes the same integral apply_glob computes
-        # with its own quadrature rule; both must land on the same value
+        # the tube is disjoint from the ball, so the whole integral is global:
+        # the tube pipeline vectorizes what apply_riesz computes there with
+        # its own quadrature rule, and both must land on the same value
         cfg = wt.CounterexampleConfig(
             alpha=MultiIndex.of(2, 1),
             etas=(4.0,),
@@ -654,9 +684,9 @@ class TestTubeTransform:
         f = ball_indicator(2, z, cfg.ball_radius)
         log_meas = wt.gamma_inv_ball_log(2, z, cfg.ball_radius).logmag
         for idx in (0, pts.shape[0] // 2, pts.shape[0] - 1):
-            ref = apply_glob_log(MultiIndex.of(2, 1), f, pts[idx])
-            assert ref.sign == signs[idx]
-            assert abs(math.expm1(ref.logmag - log_meas - logmags[idx])) <= 1e-9
+            ref = apply_riesz(MultiIndex.of(2, 1), f, pts[idx])
+            assert np.sign(ref) == signs[idx]
+            assert abs(math.expm1(math.log(abs(ref)) - log_meas - logmags[idx])) <= 1e-9
 
     def test_kernel_sign_and_size_on_tube(self):
         log_ratio, violations = wt.tube_kernel_lower_constant(
