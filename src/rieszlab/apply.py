@@ -127,8 +127,8 @@ class PVConfig:
     def __post_init__(self):
         if not _finite_positive(self.epsilon):
             raise ValueError("epsilon must be positive and finite")
-        if self.levels < 2:
-            raise ValueError("need at least two levels to extrapolate")
+        if not isinstance(self.levels, (int, np.integer)) or self.levels < 2:
+            raise ValueError("need an integer of at least two levels to extrapolate")
         if not _finite_positive(self.rel_tol):
             raise ValueError("rel_tol must be positive and finite")
 

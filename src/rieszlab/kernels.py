@@ -84,49 +84,52 @@ def _riesz_prefactor(n: int, order: int) -> LogScaled:
 
 
 def _log_integrand(
-    alpha: MultiIndex, x: np.ndarray, y: np.ndarray, w: np.ndarray
+    alpha: MultiIndex, x: np.ndarray, y: np.ndarray, t: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(sign, log|integrand|) at r = 1 - w for an array of w in (0, 1).
+    """(g, H) at r = e^{-t} for an array of t > 0: the integrand in t is
+    exp(g) times the float Hermite product H, which may overflow where
+    exp(g) leaves nothing.
 
-    In w, 1 - r^2 = w (2 - w) and x - r y = (x - y) + w y keep full
-    precision near the diagonal, where the mass sits at w ~ |x - y|^2."""
+    In t, 1 - r^2 = -expm1(-2t) and x - r y = (x - y) - expm1(-t) y keep
+    full precision near the diagonal, where the mass sits at t ~ |x - y|^2,
+    and -log r = t keeps it toward r = 0, where high orders put theirs."""
     n, order = x.size, alpha.order
-    one_m_r2 = w * (2.0 - w)
-    u = (np.multiply.outer(y, w) + (x - y)[:, None]) / np.sqrt(one_m_r2)
-    h = np.ones_like(w)
-    for k, uj in zip(alpha, u):
-        if k:
-            h = h * hermite1d(k, uj)
-    with np.errstate(divide="ignore"):
-        logmag = (
-            (n - 1) * np.log1p(-w)
-            + (0.5 * order - 1.0) * np.log(-np.log1p(-w))
-            - 0.5 * (n + order) * np.log(one_m_r2)
-            - (u * u).sum(axis=0)
-            + np.log(np.abs(h))
-        )
-    return np.sign(h), logmag
+    one_m_r2 = -np.expm1(-2.0 * t)
+    u = ((x - y)[:, None] - np.multiply.outer(y, np.expm1(-t))) / np.sqrt(one_m_r2)
+    h = np.ones_like(t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, uj in zip(alpha, u):
+            if k:
+                h = h * hermite1d(k, uj)
+    g = -n * t + (0.5 * order - 1.0) * np.log(t) - 0.5 * (n + order) * np.log(one_m_r2)
+    return g - (u * u).sum(axis=0), h
 
 
 def _breakpoints(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """w* = 1 - r* for the minimiser r* of |x - r y|^2/(1 - r^2), and
-    min(w*, 1/2) 4^k for k = -12..12, inside (0, 1)."""
+    """t* = -log r* for the minimiser r* of |x - r y|^2/(1 - r^2), and
+    min(t*, 1/2) 4^k for k = -12..12, inside (0, 700); beyond t = 700 the
+    factor r^n = e^{-n t} leaves nothing."""
     d = float(np.linalg.norm(x - y))
     t = float(np.linalg.norm(x + y))
     s = float(x @ x + y @ y)
     # r* = 2 x.y/(s + d t), and s - 2 x.y = d^2 gives 1 - r* without cancellation
-    w_star = d * (d + t) / (s + d * t) if float(x @ y) > 0.0 else 1.0
-    pts = {w_star} | {min(w_star, 0.5) * 4.0**k for k in range(-12, 13)}
-    return np.array(sorted(p for p in pts if 0.0 < p < 1.0))
+    t_star = -math.log1p(-d * (d + t) / (s + d * t)) if float(x @ y) > 0.0 else math.inf
+    pts = {t_star} | {min(t_star, 0.5) * 4.0**k for k in range(-12, 13)}
+    return np.array(sorted(p for p in pts if 0.0 < p < NEGLIGIBLE_LOGMAG))
 
 
 def riesz_kernel(alpha: MultiIndex, x: np.ndarray, y: np.ndarray) -> KernelValue:
     """Riesz-transform kernel of order alpha at an off-diagonal pair.
 
-    One QUADPACK integration (scipy.integrate.quad) in w = 1 - r, with
-    breakpoints from `_breakpoints`, the integrand shifted by its largest
-    log value over the breakpoints and a coarse rule, and an absolute
-    tolerance of 1e-10 times the coarse integral of |integrand|.
+    One QUADPACK integration (scipy.integrate.quad) in t = -log r over
+    (0, 700), with breakpoints from `_breakpoints`, an absolute tolerance
+    of 1e-10 times a coarse integral of |integrand|, and the integrand
+    formed as in `riesz_kernel_batch`: exp(g - shift) times the float
+    Hermite product, with shift the largest g over the breakpoints and the
+    coarse rule, and terms with g - shift < -NEGLIGIBLE_LOGMAG exactly 0.
+    A Hermite factor may thus overflow where the Gaussian leaves nothing
+    (H_40 at x = 0.5, y = 1.5 matches its mpmath reference); one that
+    overflows on the coarse rule's live nodes raises ValueError.
     subdivisions and err_logmag report QUADPACK's subinterval count and
     error estimate.  Against the 48 mpmath references of
     `bench/oracle_pairs.json` (separations 1e-6 to 1e-1) the error is at
@@ -147,19 +150,31 @@ def riesz_kernel(alpha: MultiIndex, x: np.ndarray, y: np.ndarray) -> KernelValue
     if float(np.linalg.norm(x - y)) == 0.0:
         raise ValueError("kernel undefined on the diagonal")
     pts = _breakpoints(x, y)
-    nodes, weights = gauss_legendre(np.concatenate(([0.0], pts, [1.0])), _COARSE_ORDER)
-    _, logs = _log_integrand(alpha, x, y, np.concatenate((pts, nodes)))
-    shift = float(logs.max())
-    mass = float(weights @ np.exp(logs[pts.size :] - shift))
+    edges = np.concatenate(([0.0], pts, [NEGLIGIBLE_LOGMAG]))
+    nodes, weights = gauss_legendre(edges, _COARSE_ORDER)
+    g_all, h_all = _log_integrand(alpha, x, y, np.concatenate((pts, nodes)))
+    shift = float(g_all.max())
 
-    def g(w: float) -> float:
-        sign, logmag = _log_integrand(alpha, x, y, np.array([w]))
-        return float(sign[0] * math.exp(logmag[0] - shift))
+    def terms(g: np.ndarray, h: np.ndarray) -> np.ndarray:
+        # exp(g - shift) H as in riesz_kernel_batch: exactly 0 where
+        # g - shift < -NEGLIGIBLE_LOGMAG, whatever H is there
+        with np.errstate(over="ignore", invalid="ignore"):
+            live = np.exp(np.maximum(g - shift, -NEGLIGIBLE_LOGMAG)) * h
+        return np.where(g - shift < -NEGLIGIBLE_LOGMAG, 0.0, live)
+
+    mass = float(weights @ np.abs(terms(g_all[pts.size :], h_all[pts.size :])))
+    if not math.isfinite(mass):
+        raise ValueError(f"Hermite factor of order {alpha.order} overflows at a live node")
+    if mass == 0.0:  # H is 0 at every node, as for x_j = y_j = 0 with k_j odd
+        return KernelValue(value=LogScaled.zero(), subdivisions=0, err_logmag=-math.inf)
+
+    def f(t: float) -> float:
+        return float(terms(*_log_integrand(alpha, x, y, np.array([t])))[0])
 
     value, err, info, *failure = quad(
-        g,
+        f,
         0.0,
-        1.0,
+        NEGLIGIBLE_LOGMAG,
         points=pts,
         limit=_QUAD_LIMIT,
         epsabs=_QUAD_TOL * mass,
@@ -185,6 +200,17 @@ def riesz_kernel(alpha: MultiIndex, x: np.ndarray, y: np.ndarray) -> KernelValue
 _T_EDGES = (math.log(2.0), 1.2, 2.0, 4.0, 8.0, 16.0, 32.0, 60.0)
 _V_EDGES = (math.log(2.0), 1.1, 1.6, 2.2, 3.0, 4.0, 5.5, 8.0, 12.0, 18.0, 28.0, 45.0)
 _BATCH_ORDER = 24
+# pair-nodes per row block of a (rows, nodes) evaluation: a block's
+# temporaries then fit a core's L2 cache, while whole 512-row kernel blocks
+# (12 MB at 432 nodes) did not
+_BLOCK_PAIR_NODES = 2**15
+
+
+def _row_blocks(m: int, nodes: int, rows: int | None = None) -> list[slice]:
+    """Slices covering rows 0..m-1 once and in order, `rows` at a time;
+    by default as many rows as fit _BLOCK_PAIR_NODES pair-nodes, at least 1."""
+    rows = rows or max(1, _BLOCK_PAIR_NODES // nodes)
+    return [slice(start, min(start + rows, m)) for start in range(0, m, rows)]
 
 
 @lru_cache(maxsize=32)
@@ -232,7 +258,7 @@ def _hermite_batch(k: int, u: np.ndarray) -> np.ndarray:
 
 
 def riesz_kernel_batch(
-    alpha: MultiIndex, X: np.ndarray, Y: np.ndarray, chunk: int = 512
+    alpha: MultiIndex, X: np.ndarray, Y: np.ndarray, chunk: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Riesz kernel over many pairs at once on a fixed composite rule.
 
@@ -262,8 +288,10 @@ def riesz_kernel_batch(
     the nodes.  A Hermite factor that overflows at a node that is kept
     raises ValueError.  That takes an order in the hundreds: H_40 at
     x = 0.5, y = 1.5 overflows only at dropped nodes, and the value matches
-    an mpmath reference to 1e-9.  Every operation is row-local, so no value
-    depends on `chunk`.
+    an mpmath reference to 1e-9.  Rows go in blocks of 2^15 pair-nodes
+    (75 rows of the 432-node rule) so that a block's temporaries stay in a
+    core's L2 cache; `chunk` overrides the rows per block.  Every operation
+    is row-local, so no value depends on the block size.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -279,7 +307,8 @@ def riesz_kernel_batch(
     r, inv_s, logw = _batch_rule(n, order)
     pref = _riesz_prefactor(n, order)
     m = X.shape[0]
-    rows = min(chunk, m)
+    blocks = _row_blocks(m, r.size, chunk)
+    rows = blocks[0].stop if blocks else 0
     u_buf = np.empty((n, rows, r.size))
     g_buf = np.empty((rows, r.size))
     sq_buf = np.empty((rows, r.size))
@@ -289,12 +318,11 @@ def riesz_kernel_batch(
     # a Hermite factor may overflow at a dead node, whose term is set to 0;
     # an overflow at a live node raises after the row sums
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, m, chunk):
+        for blk in blocks:
             # u[j] is coordinate j at every (pair, node), shape (rows, nodes),
-            # so each operation runs over contiguous node rows.  Every
-            # operation is row-local: no value depends on chunk.
-            xb = X[start : start + chunk].T[:, :, None]
-            yb = Y[start : start + chunk].T[:, :, None]
+            # so each operation runs over contiguous node rows
+            xb = X[blk].T[:, :, None]
+            yb = Y[blk].T[:, :, None]
             b = xb.shape[1]
             u, g, dead = u_buf[:, :b], g_buf[:b], dead_buf[:b]
             np.multiply(yb, -r, out=u)
@@ -324,6 +352,6 @@ def riesz_kernel_batch(
             if not np.isfinite(total).all():
                 raise ValueError(f"Hermite factor of order {order} overflows at a live node")
             with np.errstate(divide="ignore"):
-                logmags[start : start + chunk] = np.log(np.abs(total)) + shift + pref.logmag
-            signs[start : start + chunk] = np.sign(total).astype(int) * pref.sign
+                logmags[blk] = np.log(np.abs(total)) + shift + pref.logmag
+            signs[blk] = np.sign(total).astype(int) * pref.sign
     return signs, logmags

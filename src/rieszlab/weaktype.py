@@ -24,7 +24,7 @@ from scipy import special
 
 from rieszlab.apply import GridFunction, _finite_positive, _polar_nodes
 from rieszlab.geometry import MultiIndex
-from rieszlab.kernels import riesz_kernel_batch
+from rieszlab.kernels import _row_blocks, riesz_kernel_batch
 from rieszlab.logscaled import LogScaled, signed_logsumexp
 from rieszlab.quadrature import gauss_legendre
 from rieszlab.regions import (
@@ -326,17 +326,20 @@ def _first_half_integral_log(
     n: int, a: int, X: np.ndarray, Y: np.ndarray
 ) -> np.ndarray:
     """Bare integral over r in (0, 1/2): r^{n-1} |x - r y|^a e^{-|r x - y|^2}."""
-    r, logw = _R_NODES, _R_LOGW
-    x2, xy, y2 = (v[:, None] for v in _row_dots(X, Y))
-    # |rx - y|^2 and |x - ry|^2 expanded to avoid an (m, nodes, n) tensor
-    rxy = r[None, :] * r[None, :] * x2 - 2.0 * r[None, :] * xy + y2
-    terms = (n - 1) * np.log(r)[None, :] + logw[None, :] - rxy
-    if a > 0:
-        xry = x2 - 2.0 * r[None, :] * xy + r[None, :] * r[None, :] * y2
-        with np.errstate(divide="ignore"):
-            terms = terms + 0.5 * a * np.log(np.maximum(xry, 0.0))
-    _, lm = signed_logsumexp(terms, axis=1)
-    return lm
+    r, logw = _R_NODES[None, :], _R_LOGW[None, :]
+    dots = [v[:, None] for v in _row_dots(X, Y)]
+    out = np.empty(len(X))
+    for blk in _row_blocks(len(X), r.size):
+        x2, xy, y2 = (v[blk] for v in dots)
+        # |rx - y|^2 and |x - ry|^2 expanded to avoid an (m, nodes, n) tensor
+        rxy = r * r * x2 - 2.0 * r * xy + y2
+        terms = (n - 1) * np.log(r) + logw - rxy
+        if a > 0:
+            xry = x2 - 2.0 * r * xy + r * r * y2
+            with np.errstate(divide="ignore"):
+                terms = terms + 0.5 * a * np.log(np.maximum(xry, 0.0))
+        out[blk] = signed_logsumexp(terms, axis=1)[1]
+    return out
 
 
 def _second_half_integral_log(
@@ -351,37 +354,35 @@ def _second_half_integral_log(
     if piece not in ("full", "near", "mid", "edge"):
         raise ValueError(f"unknown piece {piece!r}")
     r0, yperp_sq, _, _ = _polar_batch(X, Y)
-    x2, xy, y2 = (v[:, None] for v in _row_dots(X, Y))
-    r0 = r0[:, None]
-    u = _U_NODES
+    rows = [v[:, None] for v in (r0, yperp_sq, *_row_dots(X, Y))]
+    u = _U_NODES[None, :]
     r = 1.0 - u
-    expo = (
-        -_EXPONENT_C
-        * ((r[None, :] - r0) ** 2 * x2 + yperp_sq[:, None])
-        / u[None, :]
-    )
-    terms = expo - 0.5 * (n + a + 2) * np.log(u)[None, :] + _U_LOGW[None, :]
-    if a > 0:
-        xry = x2 - 2.0 * r[None, :] * xy + r[None, :] * r[None, :] * y2
-        with np.errstate(divide="ignore"):
-            terms = terms + 0.5 * a * np.log(np.maximum(xry, 0.0))
-    if piece != "full":
-        below = r0 < 1.0
-        s = 1.0 - r0
-        near = below & (np.abs(r[None, :] - r0) < 0.5 * s)
-        edge_lo = below & (u[None, :] <= 0.5 * s)
-        mid_lo = below & (r[None, :] < 0.5 * (3.0 * r0 - 1.0))
-        mid_hi = ~below & (u[None, :] > 1.5 * (r0 - 1.0))
-        edge_hi = ~below & ~mid_hi
-        if piece == "near":
-            mask = near
-        elif piece == "mid":
-            mask = mid_lo | mid_hi
-        else:
-            mask = edge_lo | edge_hi
-        terms = np.where(mask, terms, -np.inf)
-    _, lm = signed_logsumexp(terms, axis=1)
-    return lm
+    out = np.empty(len(X))
+    for blk in _row_blocks(len(X), u.size):
+        r0, yperp_sq, x2, xy, y2 = (v[blk] for v in rows)
+        expo = -_EXPONENT_C * ((r - r0) ** 2 * x2 + yperp_sq) / u
+        terms = expo - 0.5 * (n + a + 2) * np.log(u) + _U_LOGW[None, :]
+        if a > 0:
+            xry = x2 - 2.0 * r * xy + r * r * y2
+            with np.errstate(divide="ignore"):
+                terms = terms + 0.5 * a * np.log(np.maximum(xry, 0.0))
+        if piece != "full":
+            below = r0 < 1.0
+            s = 1.0 - r0
+            near = below & (np.abs(r - r0) < 0.5 * s)
+            edge_lo = below & (u <= 0.5 * s)
+            mid_lo = below & (r < 0.5 * (3.0 * r0 - 1.0))
+            mid_hi = ~below & (u > 1.5 * (r0 - 1.0))
+            edge_hi = ~below & ~mid_hi
+            if piece == "near":
+                mask = near
+            elif piece == "mid":
+                mask = mid_lo | mid_hi
+            else:
+                mask = edge_lo | edge_hi
+            terms = np.where(mask, terms, -np.inf)
+        out[blk] = signed_logsumexp(terms, axis=1)[1]
+    return out
 
 
 def lemma_kernel_batch(spec: LemmaKernelSpec, x, Y) -> np.ndarray:
@@ -432,21 +433,24 @@ def near_diagonal_profile_integral(n: int, mu: float, nu: float, X, Y) -> np.nda
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    x2, xy, y2 = (v[:, None] for v in _row_dots(X, Y))
+    dots = [v[:, None] for v in _row_dots(X, Y)]
+    out = np.empty(len(X))
+    for blk in _row_blocks(len(X), _R_NODES.size + _U_NODES.size):
+        x2, xy, y2 = (v[blk] for v in dots)
 
-    def chunk_log(r: np.ndarray, logw: np.ndarray) -> np.ndarray:
-        xry = np.maximum(x2 - 2.0 * r * xy + r * r * y2, 0.0)
-        s2 = (1.0 - r) * (1.0 + r)
-        terms = -0.5 * (n + mu) * np.log(s2) - xry / s2 + logw
-        if nu != 0.0:
-            with np.errstate(divide="ignore"):
-                terms = terms + 0.5 * nu * np.log(xry)
-        return terms
+        def chunk_log(r: np.ndarray, logw: np.ndarray) -> np.ndarray:
+            xry = np.maximum(x2 - 2.0 * r * xy + r * r * y2, 0.0)
+            s2 = (1.0 - r) * (1.0 + r)
+            terms = -0.5 * (n + mu) * np.log(s2) - xry / s2 + logw
+            if nu != 0.0:
+                with np.errstate(divide="ignore"):
+                    terms = terms + 0.5 * nu * np.log(xry)
+            return terms
 
-    lo_terms = chunk_log(_R_NODES, _R_LOGW)
-    hi_terms = chunk_log(1.0 - _U_NODES, _U_LOGW)
-    _, lm = signed_logsumexp(np.concatenate([lo_terms, hi_terms], axis=1), axis=1)
-    return lm
+        lo_terms = chunk_log(_R_NODES, _R_LOGW)
+        hi_terms = chunk_log(1.0 - _U_NODES, _U_LOGW)
+        out[blk] = signed_logsumexp(np.concatenate([lo_terms, hi_terms], axis=1), axis=1)[1]
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -534,11 +538,6 @@ class SweepResult:
         return math.exp(self.log_max_ratio)
 
 
-# rows per target/bound call: keeps the (rows, 552) second-half temporaries
-# of the largest sweeps at a few MiB each
-_SWEEP_BLOCK = 1024
-
-
 def bound_ratio_sweep(
     target_log: Callable[[np.ndarray, np.ndarray], np.ndarray],
     bound_log: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -552,20 +551,15 @@ def bound_ratio_sweep(
 
     sampler(rng, m) returns pair rows (X, Y) of shape (m, n) whose first rows
     equal a smaller draw from the same seed; 2*count rows are drawn.
-    target_log(X, Y) and bound_log(X, Y) map a block of rows to an array of
+    target_log(X, Y) and bound_log(X, Y) map the rows to an array of
     log values, one per row.  A -inf target contributes ratio 0, a -inf
     bound with live target makes the sweep unstable by fiat.
     """
     X, Y = sampler(rng, 2 * count)
-    ratios = np.empty(len(X))
-    for start in range(0, len(X), _SWEEP_BLOCK):
-        rows = slice(start, start + _SWEEP_BLOCK)
-        t = target_log(X[rows], Y[rows])
-        b = bound_log(X[rows], Y[rows])
-        with np.errstate(invalid="ignore"):
-            ratios[rows] = np.where(
-                t == -np.inf, -np.inf, np.where(b == -np.inf, np.inf, t - b)
-            )
+    t = target_log(X, Y)
+    b = bound_log(X, Y)
+    with np.errstate(invalid="ignore"):
+        ratios = np.where(t == -np.inf, -np.inf, np.where(b == -np.inf, np.inf, t - b))
     base = float(np.max(ratios[:count]))
     full = float(np.max(ratios))
     best = int(np.argmax(ratios))

@@ -78,6 +78,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             apply_riesz(MultiIndex.of(1), f, np.array([math.nan]))
 
+    def test_pv_config_non_integer_levels_rejected(self):
+        # range(levels) would only fail later, with a TypeError
+        for levels in (2.5, 3.0, math.nan):
+            with pytest.raises(ValueError, match="integer"):
+                PVConfig(levels=levels)
+        assert PVConfig(levels=np.int64(3)).levels == 3
+
     def test_pv_config_nan_tolerance_rejected(self):
         # a NaN tolerance would make every ladder check pass
         with pytest.raises(ValueError):

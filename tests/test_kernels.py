@@ -140,12 +140,17 @@ def _log_mass(alpha, x, y) -> float:
     """log of the prefactor times the integral of |integrand| over r."""
     from scipy.integrate import quad
 
+    def log_abs(t):
+        g, h = kernels._log_integrand(alpha, x, y, t)
+        with np.errstate(divide="ignore"):
+            return g + np.log(np.abs(h))
+
     pts = kernels._breakpoints(x, y)
-    shift = float(kernels._log_integrand(alpha, x, y, pts)[1].max())
+    shift = float(log_abs(pts).max())
     mass, _ = quad(
-        lambda w: math.exp(kernels._log_integrand(alpha, x, y, np.array([w]))[1][0] - shift),
+        lambda t: math.exp(log_abs(np.array([t]))[0] - shift),
         0.0,
-        1.0,
+        NEGLIGIBLE_LOGMAG,
         points=pts,
         limit=200,
         epsrel=1e-6,
@@ -257,6 +262,45 @@ def test_batch_kernel_hermite_overflow():
     # H_300 overflows where the terms live: no number is right, so it raises
     with pytest.raises(ValueError, match="order 300"):
         riesz_kernel_batch(MultiIndex.of(300), x, y)
+
+
+def test_scalar_kernel_hermite_overflow():
+    # H_40 overflows at t -> 0, where the Gaussian leaves nothing, and the
+    # mass sits toward r = 0 (t near 19); the batch kernel's value agrees
+    # with the 30-digit mpmath reference to 6.4e-10
+    x, y = np.array([0.5]), np.array([1.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kv = riesz_kernel(MultiIndex.of(40), x, y)
+    s, lm = riesz_kernel_batch(MultiIndex.of(40), x[None, :], y[None, :])
+    assert kv.value.sign == s[0] == -1
+    assert abs(kv.value.logmag - lm[0]) <= 1e-9
+    with pytest.raises(ValueError, match="order 300"):
+        riesz_kernel(MultiIndex.of(300), x, y)
+
+
+def test_scalar_kernel_zero_hermite_factor():
+    # H_1(u_1) = 2 u_1 = 0 at every node when x_1 = y_1 = 0: an exact zero,
+    # as the batch kernel gives, not a QUADPACK call with no tolerance left
+    kv = riesz_kernel(MultiIndex.of(1, 0), np.array([0.0, 0.3]), np.array([0.0, 0.9]))
+    assert kv.value.sign == 0 and kv.value.logmag == -math.inf
+
+
+def test_row_blocks_cover_rows_once_in_order():
+    budget = kernels._BLOCK_PAIR_NODES
+    for m, nodes in ((0, 432), (5, 432), (75, 432), (1000, 432), (3, budget + 1), (7, 2 * budget)):
+        blocks = kernels._row_blocks(m, nodes)
+        rows = np.concatenate([np.arange(m)[b] for b in blocks] or [np.arange(0)])
+        assert np.array_equal(rows, np.arange(m))
+        assert all(b.stop - b.start == max(1, budget // nodes) for b in blocks[:-1])
+        if nodes > budget:
+            assert len(blocks) == m
+    assert [b.stop for b in kernels._row_blocks(10, 432, 4)] == [4, 8, 10]
+
+
+def test_batch_kernel_zero_rows():
+    s, lm = riesz_kernel_batch(MultiIndex.of(2, 1), np.empty((0, 2)), np.empty((0, 2)))
+    assert s.shape == lm.shape == (0,)
 
 
 def test_batch_kernel_rows_independent_of_chunk():

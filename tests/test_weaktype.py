@@ -262,6 +262,23 @@ class TestLemmaKernels:
             single = [kernel(x[None, :], y[None, :])[0] for x, y in zip(X, Y)]
             np.testing.assert_allclose(rows, single, rtol=1e-13, atol=1e-13)
 
+    def test_sweep_integrals_identical_across_row_blocks(self):
+        # the sweep integrals run in cache-sized row blocks (512, 59 and 53
+        # rows at 64, 552 and 616 nodes); every operation is row-local, so a
+        # multi-block call gives each row the bits of its own one-row call
+        rng = np.random.default_rng(13)
+        for n in (1, 2):
+            X = rng.normal(size=(600, n)) * 2.0
+            Y = rng.normal(size=(600, n)) * 2.0
+            integrals = [lambda X, Y, n=n: wt.near_diagonal_profile_integral(n, 1.5, 0.5, X, Y)]
+            for a in (0, 2):
+                integrals.append(_first_half(n, a))
+                integrals += [_second_half(n, a, p) for p in ("full", "near", "mid", "edge")]
+            for integral in integrals:
+                rows = integral(X, Y)
+                single = np.concatenate([integral(X[i : i + 1], Y[i : i + 1]) for i in range(600)])
+                assert np.array_equal(rows, single)
+
     def test_masked_kernels_vanish_off_sector(self):
         l43 = wt.LemmaKernelSpec("L43", 2)
         x = np.array([2.0, 0.0])
