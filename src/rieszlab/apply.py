@@ -24,16 +24,18 @@ from typing import Callable
 import numpy as np
 
 from rieszlab.geometry import MultiIndex
-from rieszlab.kernels import riesz_kernel_batch
+from rieszlab.kernels import _row_blocks, riesz_kernel_batch
 from rieszlab.logscaled import LogScaled, log_sum, signed_logsumexp
 from rieszlab.quadrature import NonConvergenceError, gauss_legendre
 
 __all__ = ["GridFunction", "PVConfig", "ball_indicator", "apply_riesz"]
 
 _ANGULAR_NODES = 64
-# Gauss-Legendre order per radial panel, and per axis of the n = 3 box
+# Gauss-Legendre order per radial panel
 _RADIAL_ORDER = 16
-_BOX_ORDER = 24
+# (x, node) pairs per kernel call of _kernel_sums_log: the call's pair
+# arrays then take a few MiB however many evaluation rows share the nodes
+_SUM_PAIRS = 2**16
 # extrapolated values below this fraction of the largest excised integral
 # are treated as converged-to-zero rather than failed cancellation
 _CANCEL_FLOOR = 1e-9
@@ -53,18 +55,15 @@ class GridFunction:
     evaluator must accept an (m, n) array and return m values, and must
     return 0 (or something negligible) outside the support ball, because
     quadrature shells are laid over the whole reach of the kernel.
-    points/values (optionally with log_abs_values and cell_volumes) carry
-    sampled results, e.g. Tf on an evaluation grid.
+    points/values carry sampled values of the function.
     """
 
     n: int
     points: np.ndarray
     values: np.ndarray
-    cell_volumes: np.ndarray | None = None
     evaluator: Callable[[np.ndarray], np.ndarray] | None = None
     support_center: np.ndarray | None = None
     support_radius: float | None = None
-    log_abs_values: np.ndarray | None = None
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float).reshape(-1, self.n)
@@ -73,12 +72,6 @@ class GridFunction:
             raise ValueError("points and values must have matching length")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("values must be finite")
-        if self.cell_volumes is not None:
-            self.cell_volumes = np.asarray(self.cell_volumes, dtype=float).reshape(-1)
-            if self.cell_volumes.shape != self.values.shape:
-                raise ValueError("cell_volumes must match values")
-            if np.any(self.cell_volumes <= 0.0):
-                raise ValueError("cell volumes must be positive")
         if self.support_center is not None:
             self.support_center = np.asarray(self.support_center, dtype=float).reshape(
                 self.n
@@ -87,12 +80,6 @@ class GridFunction:
                 raise ValueError("support center must be finite")
         if self.support_radius is not None and not _finite_positive(self.support_radius):
             raise ValueError("support radius must be positive and finite")
-        if self.log_abs_values is not None:
-            self.log_abs_values = np.asarray(self.log_abs_values, dtype=float).reshape(
-                -1
-            )
-            if self.log_abs_values.shape[0] != self.points.shape[0]:
-                raise ValueError("log_abs_values must match points")
 
 
 def ball_indicator(n: int, center, radius: float) -> GridFunction:
@@ -146,26 +133,56 @@ def _angular_rule(n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     raise NotImplementedError("polar shells are implemented for n <= 2")
 
 
-def _radial_rule(
-    lo: float, hi: float, order: int, geometric: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes/weights on [lo, hi].
+def _radial_rule(lo: float, hi: float, geometric: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre nodes/weights on [lo, hi], _RADIAL_ORDER
+    points per panel.
 
     Geometric panels double from lo, refining toward the singular end;
     uniform panels suit regular integrands.
     """
     if not geometric:
-        return gauss_legendre(np.linspace(lo, hi, 5), order)
+        return gauss_legendre(np.linspace(lo, hi, 5), _RADIAL_ORDER)
     if lo <= 0.0:
         raise ValueError("geometric panels need lo > 0")
     edges = [lo]
     while edges[-1] < hi:
         edges.append(min(2.0 * edges[-1], hi))
-    return gauss_legendre(edges, order)
+    return gauss_legendre(edges, _RADIAL_ORDER)
 
 
 def _is_all_even(alpha: MultiIndex) -> bool:
     return alpha.order >= 2 and all(a % 2 == 0 for a in alpha)
+
+
+def _kernel_sums_log(
+    alpha: MultiIndex,
+    X: np.ndarray,
+    nodes: np.ndarray,
+    logw: np.ndarray,
+    log_f: float | np.ndarray,
+    f_sign: float | np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """sum_j w_j * K(x, y_j) * f(y_j) for every row x of X, in the log domain.
+
+    The nodes y_j (shape (mb, n)) and their log weights are shared by all
+    rows; f(y_j) comes as log|f| and sign, per node or one value for all.
+    Rows go to the kernel in chunks of at most _SUM_PAIRS (x, y_j) pairs
+    (at least one row), and each row's sum is its own, so the result does
+    not depend on the chunking.  Returns (signs, logmags) of shape (m,).
+    """
+    m, mb = X.shape[0], nodes.shape[0]
+    signs = np.empty(m, dtype=int)
+    logmags = np.empty(m)
+    for blk in _row_blocks(m, mb, max(1, _SUM_PAIRS // mb)):
+        k = blk.stop - blk.start
+        k_sign, k_log = riesz_kernel_batch(
+            alpha, np.repeat(X[blk], mb, axis=0), np.tile(nodes, (k, 1))
+        )
+        terms = k_log.reshape(k, mb) + logw + log_f
+        signs[blk], logmags[blk] = signed_logsumexp(
+            terms, k_sign.reshape(k, mb) * f_sign, axis=1
+        )
+    return signs, logmags
 
 
 def _weighted_kernel_sum(
@@ -181,10 +198,8 @@ def _weighted_kernel_sum(
     if not np.any(live):
         return LogScaled.zero()
     pts, logw, fv = pts[live], logw[live], fv[live]
-    k_sign, k_log = riesz_kernel_batch(alpha, np.broadcast_to(x, pts.shape), pts)
-    term_log = k_log + logw + np.log(np.abs(fv))
-    sign, logmag = signed_logsumexp(
-        term_log[None, :], (k_sign * np.sign(fv))[None, :], axis=1
+    sign, logmag = _kernel_sums_log(
+        alpha, x[None, :], pts, logw, np.log(np.abs(fv)), np.sign(fv)
     )
     return LogScaled.from_log(float(logmag[0]), int(sign[0]))
 
@@ -207,7 +222,7 @@ def _shell_sum_log(
     alpha: MultiIndex, f: GridFunction, x: np.ndarray, r_lo: float, r_hi: float
 ) -> LogScaled:
     """Integral of kernel * f over the shell r_lo < |y-x| < r_hi."""
-    radial = _radial_rule(r_lo, r_hi, _RADIAL_ORDER, geometric=True)
+    radial = _radial_rule(r_lo, r_hi, geometric=True)
     pts, logw = _polar_nodes(x, *radial, _ANGULAR_NODES)
     return _weighted_kernel_sum(alpha, f, x, pts, logw)
 
@@ -215,23 +230,12 @@ def _shell_sum_log(
 def _support_sum_log(alpha: MultiIndex, f: GridFunction, x: np.ndarray) -> LogScaled:
     """Quadrature over the support ball of f; x must be clearly outside it.
 
-    Polar panels around the support center for n <= 2 put the edge of an
-    indicator exactly on a panel boundary; n = 3 falls back to a tensor
-    Gauss-Legendre box (adequate for smooth f only).
+    Polar panels around the support center put the edge of an indicator
+    exactly on a panel boundary.
     """
-    n = f.n
-    c, rho = f.support_center, float(f.support_radius)
-    if n <= 2:
-        radial = _radial_rule(0.0, rho, _RADIAL_ORDER, geometric=False)
-        pts, logw = _polar_nodes(c, *radial, _ANGULAR_NODES)
-        return _weighted_kernel_sum(alpha, f, x, pts, logw)
-    nodes, weights = gauss_legendre([-rho, rho], _BOX_ORDER)
-    grids = np.meshgrid(*[c[j] + nodes for j in range(n)], indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
-    w = np.ones(1)
-    for _ in range(n):
-        w = np.multiply.outer(w, weights).reshape(-1)
-    return _weighted_kernel_sum(alpha, f, x, pts, np.log(w))
+    radial = _radial_rule(0.0, float(f.support_radius), geometric=False)
+    pts, logw = _polar_nodes(f.support_center, *radial, _ANGULAR_NODES)
+    return _weighted_kernel_sum(alpha, f, x, pts, logw)
 
 
 def _extrapolate_ladder(
@@ -286,6 +290,8 @@ def _apply_log(alpha: MultiIndex, f: GridFunction, x, pv: PVConfig | None) -> Lo
     x = np.asarray(x, dtype=float).reshape(f.n)
     if not np.all(np.isfinite(x)):
         raise ValueError("evaluation point must be finite")
+    if f.n > 2:
+        raise NotImplementedError("apply_riesz is implemented for n <= 2")
     dist = float(np.linalg.norm(x - f.support_center))
     rho = float(f.support_radius)
 
@@ -299,8 +305,6 @@ def _apply_log(alpha: MultiIndex, f: GridFunction, x, pv: PVConfig | None) -> Lo
             "correction on supp(f); evaluate off the support or use the "
             "coefficient path"
         )
-    if f.n == 3:
-        raise NotImplementedError("excised evaluation is implemented for n <= 2")
 
     radius_cover = dist + rho
     eps = [pv.epsilon / 2.0**i for i in range(pv.levels)]

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -90,11 +89,8 @@ def _load_config_file(path: str) -> dict:
 
 
 def _resolve_config(args) -> dict:
-    """Precedence: defaults < RIESZ_LAB_JOBS < config file < flags."""
+    """Precedence: defaults < config file < flags."""
     cfg = {"seed": 7, "count": 384, "jobs": 1}
-    env_jobs = os.environ.get("RIESZ_LAB_JOBS")
-    if env_jobs is not None:
-        cfg["jobs"] = int(env_jobs)
     if getattr(args, "config", None):
         cfg.update(_load_config_file(args.config))
     for key in _CONFIG_KEYS:

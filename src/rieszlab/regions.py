@@ -52,27 +52,23 @@ def _draw_pairs(
 
 
 def sample_local_pairs(
-    rng: np.random.Generator,
-    n: int,
-    count: int,
-    delta: float = 2.0,
-    radius: float = 6.0,
-    min_dist: float = 1e-5,
+    rng: np.random.Generator, n: int, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded pair rows (X, Y) inside the scale-delta local region.
+    """Seeded pair rows (X, Y) inside the delta = 2 local region, with the
+    coordinates of x uniform on [-6, 6].
 
-    Distances are drawn log-uniformly down to min_dist so samples crowd the
+    Distances are drawn log-uniformly down to 1e-5 so samples crowd the
     near-diagonal where singular behaviour lives.  Prefixes of the returned
     rows are themselves valid (smaller) samples: doubling count extends
     rather than reshuffles.
     """
 
     def draw(rng, m):
-        X = rng.uniform(-radius, radius, size=(m, n))
-        cap = delta / (1.0 + 2.0 * np.linalg.norm(X, axis=1) + 1.0)
-        dist = np.exp(rng.uniform(math.log(min_dist), np.log(cap)))
+        X = rng.uniform(-6.0, 6.0, size=(m, n))
+        cap = 2.0 / (1.0 + 2.0 * np.linalg.norm(X, axis=1) + 1.0)
+        dist = np.exp(rng.uniform(math.log(1e-5), np.log(cap)))
         Y = X + dist[:, None] * _unit_rows(rng, m, n)
-        return X, Y, _membership_rows(X, Y) <= delta
+        return X, Y, _membership_rows(X, Y) <= 2.0
 
     return _draw_pairs(rng, n, count, draw)
 

@@ -265,15 +265,15 @@ def l2_norm_bound(alpha: MultiIndex, n: int, b_max: int) -> NormBoundResult:
     )
 
 
-def orthonormality_defect(n: int, max_degree: int, order: int | None = None) -> float:
+def orthonormality_defect(n: int, max_degree: int) -> float:
     """max |<gauss h_a, gauss h_b> - delta_ab| over |a|, |b| <= max_degree.
 
     The pairing against the inverse-Gaussian measure reduces to
     pi^{-n/2} * integral of h_a h_b exp(-|x|^2), evaluated by a tensor
-    Gauss-Hermite rule (exact up to rounding once order > max_degree).
+    Gauss-Hermite rule of max(2 max_degree + 2, 24) points per axis (exact
+    up to rounding, since that exceeds max_degree).
     """
-    if order is None:
-        order = max(2 * max_degree + 2, 24)
+    order = max(2 * max_degree + 2, 24)
     nodes, weights = np.polynomial.hermite.hermgauss(order)
     mesh, w = _tensor_mesh(nodes, weights, n)
     table = h_normalized_table(max_degree, nodes)

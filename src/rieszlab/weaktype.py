@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import special
 
-from rieszlab.apply import GridFunction, _finite_positive, _polar_nodes
+from rieszlab.apply import _finite_positive, _kernel_sums_log, _polar_nodes
 from rieszlab.geometry import MultiIndex
 from rieszlab.kernels import _row_blocks, riesz_kernel_batch
 from rieszlab.logscaled import LogScaled, signed_logsumexp
@@ -50,7 +50,6 @@ __all__ = [
     "run_all_bound_sweeps",
     "CZLocalResult",
     "czlocal_supremum",
-    "QuasinormProbe",
     "weak_quasinorm_probe",
     "rank_one_quasinorm_exact",
     "CounterexampleConfig",
@@ -72,6 +71,9 @@ _EXPONENT_C = 0.5
 # e^{-c'|y_perp|^2/(1-r0)} dominates the integrand only for c' <= 2c/3;
 # 1/4 leaves margin
 _BLOCK_C = 0.25
+# largest relative drift of a sweep's supremum under sample doubling that
+# still counts as stable
+_STABILITY_TOL = 0.25
 
 
 # --------------------------------------------------------------------------
@@ -99,13 +101,12 @@ def _log_sphere_factor(n: int, t: np.ndarray) -> np.ndarray:
     raise NotImplementedError("sphere factor implemented for n <= 3")
 
 
-def gamma_inv_ball_log(
-    n: int, center, radius: float, panels: int = 8, order: int = 32
-) -> LogScaled:
+def gamma_inv_ball_log(n: int, center, radius: float) -> LogScaled:
     """Inverse-Gaussian measure of the ball B(center, radius), log domain.
 
-    Radial Gauss-Legendre panels against the closed-form direction integral,
-    so the quadrature is one-dimensional no matter the dimension.
+    Eight 32-point radial Gauss-Legendre panels against the closed-form
+    direction integral, so the quadrature is one-dimensional no matter the
+    dimension.
     """
     center = np.asarray(center, dtype=float).reshape(n)
     if not _finite_positive(radius):
@@ -113,7 +114,7 @@ def gamma_inv_ball_log(
     if not np.all(np.isfinite(center)):
         raise ValueError("center must be finite")
     c = float(np.linalg.norm(center))
-    r, w = gauss_legendre(np.linspace(0.0, radius, panels + 1), order)
+    r, w = gauss_legendre(np.linspace(0.0, radius, 9), 32)
     log_terms = (
         0.5 * n * _LOG_PI
         + (n - 1) * np.log(r)
@@ -191,20 +192,19 @@ class LevelSetReport:
         return _exp_safe(self.log_quasi_norm)
 
 
-def level_set_report(tf: GridFunction, metadata: dict | None = None) -> LevelSetReport:
+def level_set_report(
+    log_tf: np.ndarray, log_masses: np.ndarray, metadata: dict | None = None
+) -> LevelSetReport:
     """Measure the super-level sets of |Tf| over its sampled cells.
 
-    tf must carry cell_volumes (each sample owns a Lebesgue cell); the
-    density weight e^{|x|^2} is applied at the sample point.  The
-    thresholds are 64 log-spaced values over six decades below max|Tf|.
+    log_tf holds log|Tf| per cell (-inf for a zero) and log_masses the log
+    of each cell's measure.  The thresholds are 64 log-spaced values over
+    six decades below max|Tf|.
     """
-    if tf.cell_volumes is None:
-        raise ValueError("level sets need cell_volumes on the sampled grid")
-    if tf.log_abs_values is not None:
-        log_tf = tf.log_abs_values.copy()
-    else:
-        with np.errstate(divide="ignore"):
-            log_tf = np.log(np.abs(tf.values))
+    log_tf = np.asarray(log_tf, dtype=float)
+    log_masses = np.asarray(log_masses, dtype=float)
+    if log_masses.shape != log_tf.shape:
+        raise ValueError("log_masses must match log_tf")
     meta = dict(metadata or {})
     meta.setdefault("cells", int(log_tf.size))
     top = float(np.max(log_tf)) if log_tf.size else -math.inf
@@ -217,14 +217,9 @@ def level_set_report(tf: GridFunction, metadata: dict | None = None) -> LevelSet
             metadata=meta,
         )
     log_s = np.linspace(top - 6.0 * math.log(10.0), top, 64)
-    log_mass = (
-        np.log(tf.cell_volumes)
-        + 0.5 * tf.n * _LOG_PI
-        + np.sum(tf.points * tf.points, axis=1)
-    )
     order = np.argsort(log_tf)
     sorted_tf = log_tf[order]
-    sorted_mass = log_mass[order]
+    sorted_mass = log_masses[order]
     # suffix[k] = log-sum of masses with |Tf| ranked k..end
     suffix = np.full(sorted_mass.size + 1, -np.inf)
     suffix[:-1] = np.logaddexp.accumulate(sorted_mass[::-1])[::-1]
@@ -245,14 +240,15 @@ def level_set_report(tf: GridFunction, metadata: dict | None = None) -> LevelSet
 # comparison-kernel catalog
 
 
-_KERNEL_IDS = ("L41", "L42", "L43", "L44")
+_KERNEL_IDS = ("L42", "L44")
 
 
 @dataclass(frozen=True)
 class LemmaKernelSpec:
     """One comparison kernel from the boundedness analysis.
 
-    L41..L44 are the four weak-(1,1) kernels, each carrying the shared
+    L42 is the rank-one kernel of the quasi-norm probes and L44 the
+    collapsed-peak kernel of the A2-large sweep, each carrying the shared
     inverse-Gaussian factor e^{-|x|^2+|y|^2}.  The regime flag records
     whether the parameters satisfy the boundedness hypotheses; "inside" is
     validated for L42 (mu + nu >= n - 2 and mu <= n), while "outside"
@@ -274,7 +270,7 @@ class LemmaKernelSpec:
             raise ValueError("n must be positive")
         if self.regime not in ("inside", "outside"):
             raise ValueError("regime must be 'inside' or 'outside'")
-        if kid in ("L43", "L44") and self.delta <= 0.0:
+        if kid == "L44" and self.delta <= 0.0:
             raise ValueError("delta must be positive")
         if kid == "L42" and self.regime == "inside":
             if self.mu + self.nu < self.n - 2.0 - 1e-12 or self.mu > self.n + 1e-12:
@@ -400,17 +396,9 @@ def lemma_kernel_batch(spec: LemmaKernelSpec, x, Y) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             radial = np.where(x_norm > 0, -spec.mu * np.log(x_norm), np.inf)
         return base + radial - spec.nu * np.log1p(x_norm)
-    r0, yperp_sq, sin_theta, y_norm = _polar_batch(X, Y)
-    log_x = np.log(x_norm)
-    if kid == "L41":
-        return base + _log_min_growth_angular(n, x_norm, sin_theta)
-    if kid == "L43":
-        mask = (_membership_rows(X, Y) > 1.0) & (y_norm <= 2.0 * x_norm)
-        with np.errstate(divide="ignore"):
-            shape = (n - 1) * (np.log(y_norm) - log_x) if n > 1 else 0.0
-        vals = base - spec.delta * yperp_sq + log_x + shape
-        return np.where(mask, vals, -np.inf)
     # L44: the collapsed-peak kernel on the aligned sector
+    r0, yperp_sq, _, _ = _polar_batch(X, Y)
+    log_x = np.log(x_norm)
     dpar = np.abs(1.0 - r0) * x_norm
     ypar = np.abs(r0) * x_norm
     mask = (x_norm * dpar >= 1.0) & (ypar >= x_norm / 3.0) & (ypar < x_norm)
@@ -545,7 +533,6 @@ def bound_ratio_sweep(
     count: int,
     rng: np.random.Generator,
     key: str = "sweep",
-    stability_tol: float = 0.25,
 ) -> SweepResult:
     """sup of target/bound over a seeded sample, with doubling stability.
 
@@ -564,7 +551,7 @@ def bound_ratio_sweep(
     full = float(np.max(ratios))
     best = int(np.argmax(ratios))
     rel = math.expm1(full - base) if math.isfinite(full) else math.inf
-    stable = math.isfinite(full) and rel <= stability_tol
+    stable = math.isfinite(full) and rel <= _STABILITY_TOL
     return SweepResult(
         key=key,
         count=count,
@@ -1060,83 +1047,47 @@ def rank_one_quasinorm_exact(spec: LemmaKernelSpec) -> float:
     return float(-res.fun)
 
 
-@dataclass
-class QuasinormProbe:
-    centers: tuple
-    log_quasi_norms: np.ndarray
-    log_max: float
-    metadata: dict = field(default_factory=dict)
+_PROBE_T_MAX = 30.0
+_PROBE_T_COUNT = 4096
 
 
-def weak_quasinorm_probe(
-    spec: LemmaKernelSpec,
-    centers: Sequence,
-    rho: float = 0.25,
-    t_min: float = 1e-8,
-    t_max: float = 30.0,
-    t_count: int = 4096,
-) -> QuasinormProbe:
-    """Per-center weak quasi-norms of the rank-one operator (kernel L42)
-    applied to normalized ball indicators.
+def weak_quasinorm_probe(spec: LemmaKernelSpec, t_min: float = 1e-8) -> float:
+    """log weak quasi-norm of the rank-one operator (kernel L42) on a
+    nonnegative input of unit measure-norm, from a sampled profile.
 
-    Tf depends on x only through |x|, so it is sampled along the ray t e_1;
-    measures use the closed-form centered-ball values on geometric annuli.
-    Works for n <= 2; other kernels raise ValueError, as in
-    rank_one_quasinorm_exact.
+    Tf(x) is the kernel's radial factor in t = |x| times the integral of
+    e^{|y|^2} f(y) dy, which is pi^{-n/2} for every such input, so the probe
+    takes no input.  Tf is sampled on 4096 geometric nodes of t from t_min
+    to 30; measures use the closed-form centered-ball values on annuli
+    around the nodes.  Works for n <= 2; other kernels raise ValueError, as
+    in rank_one_quasinorm_exact.
     """
     n = spec.n
     if spec.kernel_id != "L42":
         raise ValueError("the probe applies to the rank-one kernel only")
     if n > 2:
         raise NotImplementedError("probe implemented for n <= 2")
-    t = np.exp(np.linspace(math.log(t_min), math.log(t_max), t_count))
+    t = np.exp(np.linspace(math.log(t_min), math.log(_PROBE_T_MAX), _PROBE_T_COUNT))
+    log_tf = _rank_one_radial_log(spec, t) - 0.5 * n * _LOG_PI
+    if np.all(np.diff(log_tf) <= 1e-9):
+        # non-increasing profile: the super-level set at s = Tf(t_k) is the
+        # centered ball of radius t_k, measured in closed form
+        return float(np.max(log_tf + _log_radial_ball_measure(n, t)))
     inner_edges = np.sqrt(t[:-1] * t[1:])
-    edges = np.concatenate([[1e-300], inner_edges, [t_max]])
+    edges = np.concatenate([[1e-300], inner_edges, [_PROBE_T_MAX]])
     log_m = _log_radial_ball_measure(n, edges)
     # log of measure of the annulus owned by each t-node
     with np.errstate(invalid="ignore"):
         log_dm = log_m[1:] + np.log(-np.expm1(np.minimum(log_m[:-1] - log_m[1:], 0.0)))
     log_dm[0] = log_m[1]
-    results = []
-    meta = {
-        "rho": rho,
-        "t_count": t_count,
-        "t_range": (t_min, t_max),
-        "estimator": "radial-grid",
-    }
-    for center in centers:
-        c = np.asarray(center, dtype=float)
-        if c.ndim == 0:
-            c = np.concatenate([[float(c)], np.zeros(n - 1)])
-        ball_pts, ball_logw = _polar_nodes(c, *gauss_legendre([0.0, rho], 24), 64)
-        log_norm = gamma_inv_ball_log(n, c, rho).logmag
-        ball_sum = float(
-            signed_logsumexp(
-                (np.sum(ball_pts * ball_pts, axis=1) + ball_logw)[None, :], axis=1
-            )[1][0]
-        )
-        log_tf = _rank_one_radial_log(spec, t) + ball_sum - log_norm
-        if np.all(np.diff(log_tf) <= 1e-9):
-            # non-increasing profile: the super-level set at s = Tf(t_k) is
-            # the centered ball of radius t_k, measured in closed form
-            quasi = log_tf + _log_radial_ball_measure(n, t)
-            results.append(float(np.max(quasi)))
-        else:
-            best = -math.inf
-            for i in range(0, t_count, 512):
-                s_block = log_tf[i : i + 512]
-                mask = log_tf[None, :] > s_block[:, None]
-                masses = np.where(mask, log_dm[None, :], -np.inf)
-                _, lm = signed_logsumexp(masses, axis=1)
-                best = max(best, float(np.max(s_block + lm)))
-            results.append(best)
-    logs = np.asarray(results)
-    return QuasinormProbe(
-        centers=tuple(np.asarray(c).tolist() for c in centers),
-        log_quasi_norms=logs,
-        log_max=float(np.max(logs)),
-        metadata=meta,
-    )
+    best = -math.inf
+    for i in range(0, _PROBE_T_COUNT, 512):
+        s_block = log_tf[i : i + 512]
+        mask = log_tf[None, :] > s_block[:, None]
+        masses = np.where(mask, log_dm[None, :], -np.inf)
+        _, lm = signed_logsumexp(masses, axis=1)
+        best = max(best, float(np.max(s_block + lm)))
+    return best
 
 
 # --------------------------------------------------------------------------
@@ -1268,45 +1219,26 @@ def _tube_tf_logs(cfg: CounterexampleConfig, eta: float):
     f is the ball indicator at the diagonal point normalized to unit
     measure-norm, and Tf(x) = sum_j w_j K(x, y_j) f with the tube disjoint
     from the ball, so no excision is involved; this is the same integral
-    apply_riesz computes there, vectorized over the shared ball nodes.
+    apply_riesz computes there, summed by the same _kernel_sums_log over
+    the shared ball nodes.
     """
-    n = cfg.n
-    z = np.full(n, eta)
+    z = np.full(cfg.n, eta)
     pts, log_cell = _tube_grid(cfg, eta)
     ball_pts, ball_logw = _polar_nodes(
         z, *gauss_legendre([0.0, cfg.ball_radius], cfg.ball_radial), cfg.ball_angular
     )
-    log_f = -gamma_inv_ball_log(n, z, cfg.ball_radius).logmag
-    m, mb = pts.shape[0], ball_pts.shape[0]
-    signs = np.empty(m, dtype=int)
-    logmags = np.empty(m)
-    chunk = max(1, 2_000_000 // mb)
-    for start in range(0, m, chunk):
-        xs = pts[start : start + chunk]
-        mx = xs.shape[0]
-        X = np.repeat(xs, mb, axis=0)
-        Y = np.tile(ball_pts, (mx, 1))
-        s, lm = riesz_kernel_batch(cfg.alpha, X, Y)
-        terms = (lm + np.tile(ball_logw, mx) + log_f).reshape(mx, mb)
-        sg, lg = signed_logsumexp(terms, s.reshape(mx, mb), axis=1)
-        signs[start : start + mx] = sg
-        logmags[start : start + mx] = lg
+    log_f = -gamma_inv_ball_log(cfg.n, z, cfg.ball_radius).logmag
+    signs, logmags = _kernel_sums_log(cfg.alpha, pts, ball_pts, ball_logw, log_f, 1)
     return pts, signs, logmags, log_cell
 
 
 def _eta_report(cfg: CounterexampleConfig, eta: float) -> LevelSetReport:
-    pts, signs, logmags, log_cell = _tube_tf_logs(cfg, eta)
-    scale = float(np.max(logmags))
-    values = signs * np.exp(logmags - scale)
-    tf = GridFunction(
-        n=cfg.n,
-        points=pts,
-        values=values,
-        cell_volumes=np.exp(log_cell),
-        log_abs_values=logmags,
-    )
+    pts, _, logmags, log_cell = _tube_tf_logs(cfg, eta)
+    # the mass rule of _tube_grid: cell volume * pi^{n/2} * e^{|point|^2}
+    log_masses = log_cell + 0.5 * cfg.n * _LOG_PI + np.sum(pts * pts, axis=1)
     return level_set_report(
-        tf,
+        logmags,
+        log_masses,
         metadata={
             "eta": eta,
             "grid_axis": cfg.grid_axis,
@@ -1459,7 +1391,7 @@ def _exp_safe(log_value: float) -> float:
 
 
 def write_counterexample_report(
-    result: CounterexampleResult, csv_path: str, json_path: str, extra_config: dict | None = None
+    result: CounterexampleResult, csv_path: str, json_path: str
 ) -> None:
     """CSV of per-eta level-set rows plus a JSON summary with the fit."""
     exp_id = _experiment_id(result.config)
@@ -1495,7 +1427,6 @@ def write_counterexample_report(
             "grid_perp": result.config.grid_perp,
             "ball_radial": result.config.ball_radial,
             "ball_angular": result.config.ball_angular,
-            **(extra_config or {}),
         },
     }
     with open(json_path, "w") as fh:

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import rieszlab.apply as apply_mod
 from rieszlab import MultiIndex
 from rieszlab.apply import GridFunction, PVConfig, apply_riesz, ball_indicator
 from rieszlab.hermite import gamma_h
-from rieszlab.kernels import riesz_kernel
+from rieszlab.kernels import riesz_kernel, riesz_kernel_batch
+from rieszlab.logscaled import signed_logsumexp
 from rieszlab.quadrature import NonConvergenceError
 
 RADIUS = 8.5
@@ -64,6 +66,11 @@ class TestValidation:
         f = gaussian_fn(3)
         with pytest.raises(NotImplementedError):
             apply_riesz(MultiIndex.of(1, 0, 0), f, np.array([0.5, 0.0, 0.0]))
+
+    def test_dimension_three_off_support_not_implemented(self):
+        f = gaussian_fn(3)
+        with pytest.raises(NotImplementedError):
+            apply_riesz(MultiIndex.of(1, 0, 0), f, np.array([RADIUS + 2.0, 0.0, 0.0]))
 
     def test_pv_config_validation(self):
         with pytest.raises(ValueError):
@@ -161,6 +168,40 @@ class TestClearancePath:
         want, err = quad(integrand, -RADIUS, RADIUS, limit=300, epsrel=1e-11)
         assert err <= 1e-9 * abs(want)
         assert abs(got * math.exp(shift) - want) <= 1e-9 * abs(want)
+
+
+class TestKernelSums:
+    def test_row_chunks_are_bit_identical_and_within_budget(self, monkeypatch):
+        # a budget of 40 pairs puts 3 rows of 12 nodes in each kernel call,
+        # so 8 rows take three calls; every row's sum is its own, so the
+        # chunked call, one-row calls and the one-x form that broadcasts x
+        # over the nodes give the same bits
+        alpha = MultiIndex.of(2, 1)
+        rng = np.random.default_rng(4)
+        nodes = rng.normal(size=(12, 2)) * 0.5
+        logw = rng.uniform(-3.0, 0.0, size=12)
+        log_f = rng.uniform(-1.0, 1.0, size=12)
+        f_sign = rng.choice([-1.0, 1.0], size=12)
+        X = rng.normal(size=(8, 2)) + 3.0
+        pairs = []
+
+        def counted(alpha, X, Y):
+            pairs.append(X.shape[0])
+            return riesz_kernel_batch(alpha, X, Y)
+
+        monkeypatch.setattr(apply_mod, "_SUM_PAIRS", 40)
+        monkeypatch.setattr(apply_mod, "riesz_kernel_batch", counted)
+        signs, logmags = apply_mod._kernel_sums_log(alpha, X, nodes, logw, log_f, f_sign)
+        assert pairs == [36, 36, 24]
+        for i, x in enumerate(X):
+            s1, l1 = apply_mod._kernel_sums_log(alpha, x[None, :], nodes, logw, log_f, f_sign)
+            assert (s1[0], l1[0]) == (signs[i], logmags[i])
+            k_sign, k_log = riesz_kernel_batch(alpha, np.broadcast_to(x, nodes.shape), nodes)
+            s2, l2 = signed_logsumexp(
+                (k_log + logw + log_f)[None, :], (k_sign * f_sign)[None, :], axis=1
+            )
+            assert (s2[0], l2[0]) == (signs[i], logmags[i])
+        assert max(pairs) <= 40
 
 
 class TestLadderFailure:

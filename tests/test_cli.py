@@ -308,10 +308,7 @@ class TestConfigResolution:
         cfg = cli._resolve_config(self.make_args())
         assert cfg == {"seed": 7, "count": 384, "jobs": 1}
 
-    def test_env_below_file_below_flags(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("RIESZ_LAB_JOBS", "5")
-        cfg = cli._resolve_config(self.make_args())
-        assert cfg["jobs"] == 5
+    def test_file_below_flags(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("jobs = 3\ncount = 100\n")
         cfg = cli._resolve_config(self.make_args(config=str(path)))

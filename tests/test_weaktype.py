@@ -79,29 +79,26 @@ class TestGaussSquareCells:
 
 
 class TestLevelSetReport:
-    def make_tf(self, values):
+    def make_cells(self, values):
+        # |Tf| per cell and the cell masses of 0.01-wide cells on [0.4, 0.8]
         values = np.asarray(values, dtype=float)
-        points = np.linspace(0.4, 0.8, values.size)[:, None]
-        vols = np.full(values.size, 0.01)
-        tf = wt.GridFunction(
-            n=1, points=points, values=values, cell_volumes=vols
-        )
-        masses = vols * math.sqrt(math.pi) * np.exp(points[:, 0] ** 2)
-        return tf, masses
+        points = np.linspace(0.4, 0.8, values.size)
+        masses = 0.01 * math.sqrt(math.pi) * np.exp(points**2)
+        with np.errstate(divide="ignore"):
+            return values, np.log(values), masses
 
-    def test_requires_cell_volumes(self):
-        tf = wt.GridFunction(n=1, points=np.zeros((1, 1)), values=np.ones(1))
+    def test_masses_must_match_values(self):
         with pytest.raises(ValueError):
-            wt.level_set_report(tf)
+            wt.level_set_report(np.zeros(3), np.zeros(2))
 
     def test_explicit_grid_is_exact(self):
         # on its 64 thresholds the report measures each super-level set
         # exactly: the quasi-norm is the best s * measure{|Tf| > s} there
-        tf, masses = self.make_tf([3.0, 3.0, 1.0])
-        rep = wt.level_set_report(tf)
+        values, log_tf, masses = self.make_cells([3.0, 3.0, 1.0])
+        rep = wt.level_set_report(log_tf, np.log(masses))
         log_s = rep.log_thresholds
         assert log_s[-1] == np.log(3.0)
-        measures = [masses[np.log(tf.values) > ls].sum() for ls in log_s]
+        measures = [masses[np.log(values) > ls].sum() for ls in log_s]
         np.testing.assert_allclose(np.exp(rep.log_measures), measures, rtol=1e-12)
         want = max(math.exp(ls) * m for ls, m in zip(log_s, measures))
         assert abs(rep.quasi_norm - want) <= 1e-12 * want
@@ -110,8 +107,8 @@ class TestLevelSetReport:
     def test_default_grid_brackets_constant_input(self):
         # constant |Tf| = c: the true quasi-norm is c * M; the grid's best
         # threshold sits one spacing below the top
-        tf, masses = self.make_tf([2.0, 2.0, 2.0])
-        rep = wt.level_set_report(tf)
+        _, log_tf, masses = self.make_cells([2.0, 2.0, 2.0])
+        rep = wt.level_set_report(log_tf, np.log(masses))
         truth = 2.0 * masses.sum()
         spacing = 6.0 * math.log(10.0) / 63.0
         assert rep.quasi_norm <= truth * (1.0 + 1e-12)
@@ -120,8 +117,8 @@ class TestLevelSetReport:
         assert rep.metadata["cells"] == 3
 
     def test_all_zero_input(self):
-        tf, _ = self.make_tf([0.0, 0.0])
-        rep = wt.level_set_report(tf)
+        _, log_tf, masses = self.make_cells([0.0, 0.0])
+        rep = wt.level_set_report(log_tf, np.log(masses))
         assert rep.quasi_norm == 0.0
         assert rep.log_thresholds.size == 0
 
@@ -129,7 +126,7 @@ class TestLevelSetReport:
 class TestLemmaKernelSpec:
     def test_unknown_id(self):
         # the radial-integral pieces are not catalog kernels
-        for kid in ("K9", "K1a", "K2a"):
+        for kid in ("K9", "K1a", "K2a", "L41", "L43"):
             with pytest.raises(ValueError):
                 wt.LemmaKernelSpec(kid, 1)
 
@@ -151,13 +148,13 @@ class TestLemmaKernelSpec:
 
     def test_misc_validation(self):
         with pytest.raises(ValueError):
-            wt.LemmaKernelSpec("L43", 2, delta=0.0)
+            wt.LemmaKernelSpec("L44", 2, delta=0.0)
         with pytest.raises(ValueError):
             wt.LemmaKernelSpec("L44", 2, delta=-1.0)
         with pytest.raises(ValueError):
-            wt.LemmaKernelSpec("L41", 0)
+            wt.LemmaKernelSpec("L42", 0)
         with pytest.raises(ValueError):
-            wt.LemmaKernelSpec("L41", 1, regime="maybe")
+            wt.LemmaKernelSpec("L44", 1, regime="maybe")
 
 
 def _first_half(n, a):
@@ -228,9 +225,7 @@ class TestLemmaKernels:
         Y = rng.normal(size=(12, 2)) * 1.5
         X = np.broadcast_to(x, Y.shape)
         kernels = [
-            _catalog(wt.LemmaKernelSpec("L41", 2)),
             _catalog(wt.LemmaKernelSpec("L42", 2, mu=1.0, nu=0.5)),
-            _catalog(wt.LemmaKernelSpec("L43", 2, delta=0.7)),
             _catalog(wt.LemmaKernelSpec("L44", 2, delta=0.7)),
             _first_half(2, 1),
             _second_half(2, 1),
@@ -250,9 +245,7 @@ class TestLemmaKernels:
         X = rng.normal(size=(10, 2)) * 2.0
         Y = rng.normal(size=(10, 2)) * 2.0
         kernels = [
-            _catalog(wt.LemmaKernelSpec("L41", 2)),
             _catalog(wt.LemmaKernelSpec("L42", 2, mu=1.0, nu=0.5)),
-            _catalog(wt.LemmaKernelSpec("L43", 2, delta=0.7)),
             _catalog(wt.LemmaKernelSpec("L44", 2, delta=0.7)),
             _first_half(2, 2),
             _second_half(2, 1, "mid"),
@@ -280,13 +273,6 @@ class TestLemmaKernels:
                 assert np.array_equal(rows, single)
 
     def test_masked_kernels_vanish_off_sector(self):
-        l43 = wt.LemmaKernelSpec("L43", 2)
-        x = np.array([2.0, 0.0])
-        Y = np.array([[5.0, 0.0], [2.001, 0.0], [1.0, 0.5]])
-        vals = wt.lemma_kernel_batch(l43, x, Y)
-        assert vals[0] == -math.inf  # |y| > 2|x|
-        assert vals[1] == -math.inf  # local pair
-        assert math.isfinite(vals[2])
         l44 = wt.LemmaKernelSpec("L44", 2)
         x = np.array([3.0, 0.0])
         Y = np.array([[2.0, 0.4], [3.5, 0.0], [2.9, 0.0]])
@@ -296,8 +282,8 @@ class TestLemmaKernels:
         assert vals[2] == -math.inf  # peak too close: |x| d_par < 1
 
     def test_eval_wraps_zero(self):
-        spec = wt.LemmaKernelSpec("L43", 2)
-        out = wt.lemma_kernel_batch(spec, [2.0, 0.0], [2.001, 0.0])
+        spec = wt.LemmaKernelSpec("L44", 2)
+        out = wt.lemma_kernel_batch(spec, [3.0, 0.0], [3.5, 0.0])
         assert out.tolist() == [-math.inf]
 
 
@@ -518,15 +504,15 @@ class TestRankOneProbes:
         for n, mu, nu in cases:
             spec = wt.LemmaKernelSpec("L42", n, mu=mu, nu=nu)
             exact = wt.rank_one_quasinorm_exact(spec)
-            probe = wt.weak_quasinorm_probe(spec, [1.5], rho=0.25)
-            assert abs(math.expm1(probe.log_max - exact)) <= 1e-4
+            probe = wt.weak_quasinorm_probe(spec)
+            assert abs(math.expm1(probe - exact)) <= 1e-4
 
     def test_non_monotone_profile_against_root_finding(self):
         # mu < 0 makes Tf rise then fall, forcing the annulus-mass branch;
         # the oracle solves Tf(t) = s on both sides of the peak and uses the
         # closed-form measure of the resulting annulus
         spec = wt.LemmaKernelSpec("L42", 1, mu=-0.5, nu=0.0)
-        probe = wt.weak_quasinorm_probe(spec, [1.5], rho=0.25)
+        probe = wt.weak_quasinorm_probe(spec)
 
         def phi(t):
             return math.exp(-t * t) * t**0.5
@@ -540,32 +526,29 @@ class TestRankOneProbes:
             t2 = brentq(lambda t: phi(t) - level, t_peak, 50.0)
             measure = math.pi * (special.erfi(t2) - special.erfi(t1))
             best = max(best, math.log(s) + math.log(measure))
-        assert abs(math.expm1(probe.log_max - best)) <= 2e-2
+        assert abs(math.expm1(probe - best)) <= 2e-2
 
     def test_growth_exponent_outside_regime(self):
         # mu = n + 1: shrinking the inner cutoff grows the estimate like
         # t_min^{-1}, the numerical signature of unboundedness
         spec = wt.LemmaKernelSpec("L42", 1, mu=2.0, nu=0.0, regime="outside")
         t_mins = [1e-2, 1e-3, 1e-4]
-        vals = [
-            wt.weak_quasinorm_probe(spec, [1.5], rho=0.25, t_min=tm).log_max
-            for tm in t_mins
-        ]
+        vals = [wt.weak_quasinorm_probe(spec, t_min=tm) for tm in t_mins]
         slope = float(np.polyfit(np.log(t_mins), vals, 1)[0])
         assert abs(slope + 1.0) <= 1e-2
 
     def test_exact_requires_rank_one_kernel(self):
         with pytest.raises(ValueError):
-            wt.rank_one_quasinorm_exact(wt.LemmaKernelSpec("L41", 1))
+            wt.rank_one_quasinorm_exact(wt.LemmaKernelSpec("L44", 1))
 
     def test_probe_requires_rank_one_kernel(self):
         with pytest.raises(ValueError):
-            wt.weak_quasinorm_probe(wt.LemmaKernelSpec("L41", 1), [1.5])
+            wt.weak_quasinorm_probe(wt.LemmaKernelSpec("L44", 1))
 
     def test_probe_dimension_limit(self):
         spec = wt.LemmaKernelSpec("L42", 3, mu=1.0, nu=0.5)
         with pytest.raises(NotImplementedError):
-            wt.weak_quasinorm_probe(spec, [1.5])
+            wt.weak_quasinorm_probe(spec)
 
 
 class TestTubeGeometry:
