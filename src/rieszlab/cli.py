@@ -139,9 +139,7 @@ def _read_pair_file(path: str, dim: int):
 
 def cmd_kernel(args) -> int:
     alpha = _parse_alpha(args.alpha)
-    n = args.n if args.n is not None else alpha.dim
-    if alpha.dim != n:
-        raise ValueError("alpha dimension must match n")
+    n = alpha.dim
     if args.batch:
         pairs = _read_pair_file(args.batch, n)
     else:
@@ -149,7 +147,7 @@ def cmd_kernel(args) -> int:
             raise ValueError("need --x and --y, or --batch")
         pairs = [(_parse_vector(args.x), _parse_vector(args.y))]
         if pairs[0][0].size != n or pairs[0][1].size != n:
-            raise ValueError("point dimension must match n")
+            raise ValueError("point dimension must match alpha")
     rows = _kernel_rows(alpha, pairs)
     print("x;y;log_value;sign;diagnostics")
     for row in rows:
@@ -177,12 +175,7 @@ def cmd_counterexample(args) -> int:
         )
         if key in cfg_values
     }
-    cfg = CounterexampleConfig(
-        alpha=alpha,
-        etas=etas,
-        n=args.n if args.n is not None else alpha.dim,
-        **overrides,
-    )
+    cfg = CounterexampleConfig(alpha=alpha, etas=etas, n=alpha.dim, **overrides)
     result = counterexample_lower_bound(cfg, jobs=cfg_values["jobs"])
     for eta, logq in zip(result.etas, result.log_quasi_norms):
         print(f"eta={eta:g} quasi_norm={math.exp(logq):.6e}")
@@ -284,7 +277,7 @@ def suite_semigroup(seed: int, count: int) -> list:
 
 def suite_cz_local(seed: int, count: int) -> list:
     rng = np.random.default_rng(seed)
-    result = czlocal_supremum(MultiIndex.of(1, 1), 2, max(count, 500), rng)
+    result = czlocal_supremum(MultiIndex.of(1, 1), max(count, 500), rng)
     return [
         (
             "kernel size supremum finite",
@@ -321,9 +314,9 @@ def suite_lemma_bounds(seed: int, count: int, which: str | None = None) -> list:
 
 
 def suite_l2_norms(seed: int, count: int) -> list:
-    first = l2_norm_bound(MultiIndex.of(1), 1, 10_000)
-    second = l2_norm_bound(MultiIndex.of(2), 1, 10_000)
-    cross = l2_norm_bound(MultiIndex.of(1, 1), 2, 400)
+    first = l2_norm_bound(MultiIndex.of(1), 10_000)
+    second = l2_norm_bound(MultiIndex.of(2), 10_000)
+    cross = l2_norm_bound(MultiIndex.of(1, 1), 400)
     return [
         (
             "order-1 norm equals sqrt(2)",
@@ -402,7 +395,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     k = sub.add_parser("kernel", help="tabulate kernel values")
     k.add_argument("--alpha", required=True, help="multi-index, e.g. 2,1")
-    k.add_argument("--n", type=int, help="dimension (defaults to len(alpha))")
     k.add_argument("--x", help="evaluation point, comma-separated")
     k.add_argument("--y", help="second point, comma-separated")
     k.add_argument("--batch", help="file of 'x1,..;y1,..' pairs")
@@ -410,7 +402,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("counterexample", help="tube growth experiment")
     c.add_argument("--alpha", required=True, help="multi-index, e.g. 2,1")
-    c.add_argument("--n", type=int, help="dimension (defaults to len(alpha))")
     c.add_argument("--etas", default="4,6,8,10", help="comma-separated etas")
     c.add_argument("--out", help="output prefix for CSV and JSON reports")
     c.set_defaults(func=cmd_counterexample)

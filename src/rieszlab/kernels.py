@@ -258,7 +258,7 @@ def _hermite_batch(k: int, u: np.ndarray) -> np.ndarray:
 
 
 def riesz_kernel_batch(
-    alpha: MultiIndex, X: np.ndarray, Y: np.ndarray, chunk: int | None = None
+    alpha: MultiIndex, X: np.ndarray, Y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Riesz kernel over many pairs at once on a fixed composite rule.
 
@@ -290,8 +290,8 @@ def riesz_kernel_batch(
     x = 0.5, y = 1.5 overflows only at dropped nodes, and the value matches
     an mpmath reference to 1e-9.  Rows go in blocks of 2^15 pair-nodes
     (75 rows of the 432-node rule) so that a block's temporaries stay in a
-    core's L2 cache; `chunk` overrides the rows per block.  Every operation
-    is row-local, so no value depends on the block size.
+    core's L2 cache.  Every operation is row-local, so no value depends on
+    the block size.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -307,7 +307,7 @@ def riesz_kernel_batch(
     r, inv_s, logw = _batch_rule(n, order)
     pref = _riesz_prefactor(n, order)
     m = X.shape[0]
-    blocks = _row_blocks(m, r.size, chunk)
+    blocks = _row_blocks(m, r.size)
     rows = blocks[0].stop if blocks else 0
     u_buf = np.empty((n, rows, r.size))
     g_buf = np.empty((rows, r.size))

@@ -187,71 +187,32 @@ class NormBoundResult:
     sup_located: bool
 
 
-def _ratio_max_over_shell(alpha: tuple[int, ...], n: int, shell: int) -> tuple[float, tuple[int, ...]]:
-    """Max over |beta| = shell of the amplification ratio, exactly.
-
-    The ratio is the product over coordinates j and i = 1..alpha_j of
-    2 (beta_j + i) / (|beta| + n); pairing each factor with one power of the
-    denominator keeps every intermediate O(2^{|alpha|}).
-    """
-    if n == 2:
-        b1 = np.arange(shell + 1, dtype=float)
-        ratio = np.ones(shell + 1)
-        denom = shell + n
-        for i in range(1, alpha[0] + 1):
-            ratio *= 2.0 * (b1 + i) / denom
-        for i in range(1, alpha[1] + 1):
-            ratio *= 2.0 * (shell - b1 + i) / denom
-        j = int(np.argmax(ratio))
-        return float(ratio[j]), (j, shell - j)
-    best = -1.0
-    best_beta: tuple[int, ...] = ()
-    for beta in _compositions(shell, n):
-        ratio = 1.0
-        denom = shell + n
-        for bj, aj in zip(beta, alpha):
-            for i in range(1, aj + 1):
-                ratio *= 2.0 * (bj + i) / denom
-        if ratio > best:
-            best, best_beta = ratio, beta
-    return best, best_beta
-
-
-def l2_norm_bound(alpha: MultiIndex, n: int, b_max: int) -> NormBoundResult:
+def l2_norm_bound(alpha: MultiIndex, b_max: int) -> NormBoundResult:
     """sup over |beta| <= b_max of sqrt(2^{|alpha|} (beta+alpha)!/beta! /
-    (|beta|+n)^{|alpha|}), the exact operator norm on the truncation span.
+    (|beta|+n)^{|alpha|}), n = alpha.dim, the exact operator norm on the
+    truncation span.
 
-    Also reports the maximizing beta and whether the last tenth of the shell
-    sweep set no new record (sup located, not still climbing).  Every ratio
-    is formed as a product of factors
-    2(beta_j + i)/(|beta| + n), which is overflow-free and, for n = 1 with
-    |alpha| = 1, exactly 2 in floating point.
+    Also reports the maximizing beta (the first in total_degree_indices
+    order) and whether the last tenth of the shell sweep set no new record
+    (sup located, not still climbing).  Every ratio is formed as a product
+    of factors 2(beta_j + i)/(|beta| + n), which is overflow-free and, for
+    n = 1 with |alpha| = 1, exactly 2 in floating point.
     """
-    if alpha.dim != n:
-        raise ValueError("alpha dimension must equal n")
+    n = alpha.dim
     if b_max < 0:
         raise ValueError("b_max must be non-negative")
-    a = alpha.entries
-    if n == 1:
-        betas = np.arange(b_max + 1, dtype=float)
-        ratio = np.ones(b_max + 1)
-        for i in range(1, a[0] + 1):
-            ratio *= 2.0 * (betas + i) / (betas + 1.0)
-        shell_max = ratio
-        arg = int(np.argmax(ratio))
-        argmax = (arg,)
-        best = float(ratio[arg])
-    else:
-        if n > 2 and b_max > 120:
-            raise ValueError("enumeration above degree 120 is impractical for n >= 3")
-        shell_max = np.empty(b_max + 1)
-        best = -1.0
-        argmax = (0,) * n
-        for shell in range(b_max + 1):
-            value, beta = _ratio_max_over_shell(a, n, shell)
-            shell_max[shell] = value
-            if value > best:
-                best, argmax = value, beta
+    if n > 2 and b_max > 120:
+        raise ValueError("enumeration above degree 120 is impractical for n >= 3")
+    betas = np.array(total_degree_indices(n, b_max), dtype=float)
+    denom = np.sum(betas, axis=1) + n
+    ratio = np.ones(len(betas))
+    for j, aj in enumerate(alpha):
+        for i in range(1, aj + 1):
+            ratio *= 2.0 * (betas[:, j] + i) / denom
+    # total_degree_indices lists the shells in order, so each starts where
+    # the degree first reaches it
+    shell_max = np.maximum.reduceat(ratio, np.searchsorted(denom, np.arange(b_max + 1) + n))
+    best = int(np.argmax(ratio))
     tail_start = max(len(shell_max) - max(len(shell_max) // 10, 2), 0)
     if tail_start == 0:
         located = True
@@ -261,7 +222,9 @@ def l2_norm_bound(alpha: MultiIndex, n: int, b_max: int) -> NormBoundResult:
             np.all(shell_max[tail_start:] <= head_best * (1.0 + 1e-12))
         )
     return NormBoundResult(
-        value=math.sqrt(best), argmax=tuple(int(b) for b in argmax), sup_located=located
+        value=math.sqrt(ratio[best]),
+        argmax=tuple(int(b) for b in betas[best]),
+        sup_located=located,
     )
 
 

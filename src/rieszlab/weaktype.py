@@ -24,7 +24,7 @@ from scipy import special
 
 from rieszlab.apply import _finite_positive, _kernel_sums_log, _polar_nodes
 from rieszlab.geometry import MultiIndex
-from rieszlab.kernels import _row_blocks, riesz_kernel_batch
+from rieszlab.kernels import _BLOCK_PAIR_NODES, _row_blocks, riesz_kernel_batch
 from rieszlab.logscaled import LogScaled, signed_logsumexp
 from rieszlab.quadrature import gauss_legendre
 from rieszlab.regions import (
@@ -301,12 +301,10 @@ def _polar_batch(X: np.ndarray, Y: np.ndarray):
     return r0, yperp_sq, sin_theta, y_norm
 
 
-def _log_min_growth_angular(n: int, x_norm, sin_theta: np.ndarray) -> np.ndarray:
-    """log of min((1+|x|)^n, (|x| sin(angle))^{-n})."""
-    grow = n * np.log1p(x_norm)
-    with np.errstate(divide="ignore"):
-        ang = -n * (np.log(x_norm) + np.log(sin_theta))
-    return np.minimum(grow, ang)
+def _peak_rows(X: np.ndarray, Y: np.ndarray):
+    """(|x|, r0, |y_perp|^2, sin(angle)) for each pair row."""
+    r0, yperp_sq, sin_theta, _ = _polar_batch(X, Y)
+    return np.linalg.norm(X, axis=1), r0, yperp_sq, sin_theta
 
 
 # one 64-point panel on r in (0, 1/2), and 12-point panels on u = 1 - r in
@@ -318,28 +316,44 @@ _U_NODES, _U_W = gauss_legendre(2.0 ** np.arange(math.floor(math.log2(1e-14)), 0
 _U_LOGW = np.log(_U_W)
 
 
-def _first_half_integral_log(
-    n: int, a: int, X: np.ndarray, Y: np.ndarray
-) -> np.ndarray:
-    """Bare integral over r in (0, 1/2): r^{n-1} |x - r y|^a e^{-|r x - y|^2}."""
-    r, logw = _R_NODES[None, :], _R_LOGW[None, :]
-    dots = [v[:, None] for v in _row_dots(X, Y)]
+def _rule_integral_log(X: np.ndarray, Y: np.ndarray, nodes: int, terms, *per_row) -> np.ndarray:
+    """log of sum_k e^{terms[:, k]} for each pair row, in cache-sized row blocks.
+
+    terms(x2, xy, y2, *per_row) maps (rows, 1) columns of one block (|x|^2,
+    x.y, |y|^2, then each per-row array) to its (rows, nodes) log terms.
+    Blocks hold half the kernel's pair-node budget: unlike the kernel, terms
+    allocates a fresh array per operation, and at the full budget the
+    freed arrays page-fault in again on every block (178k against 1.4k
+    minor faults, 1.27x the time, over the sweeps of one verify round).
+    """
+    cols = [v[:, None] for v in (*_row_dots(X, Y), *per_row)]
     out = np.empty(len(X))
-    for blk in _row_blocks(len(X), r.size):
-        x2, xy, y2 = (v[blk] for v in dots)
-        # |rx - y|^2 and |x - ry|^2 expanded to avoid an (m, nodes, n) tensor
-        rxy = r * r * x2 - 2.0 * r * xy + y2
-        terms = (n - 1) * np.log(r) + logw - rxy
-        if a > 0:
-            xry = x2 - 2.0 * r * xy + r * r * y2
-            with np.errstate(divide="ignore"):
-                terms = terms + 0.5 * a * np.log(np.maximum(xry, 0.0))
-        out[blk] = signed_logsumexp(terms, axis=1)[1]
+    for blk in _row_blocks(len(X), nodes, max(1, _BLOCK_PAIR_NODES // 2 // nodes)):
+        out[blk] = signed_logsumexp(terms(*(v[blk] for v in cols)), axis=1)[1]
     return out
 
 
+def _log_dist_power(a: float, r: np.ndarray, x2, xy, y2) -> np.ndarray:
+    """log of |x - r y|^a from the row dots, expanded to avoid an
+    (m, nodes, n) tensor; -inf where x = r y."""
+    with np.errstate(divide="ignore"):
+        return 0.5 * a * np.log(np.maximum(x2 - 2.0 * r * xy + r * r * y2, 0.0))
+
+
+def _first_half_integral_log(a: int, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Bare integral over r in (0, 1/2): r^{n-1} |x - r y|^a e^{-|r x - y|^2}."""
+    n = X.shape[1]
+    r, logw = _R_NODES[None, :], _R_LOGW[None, :]
+
+    def terms(x2, xy, y2):
+        out = (n - 1) * np.log(r) + logw - (r * r * x2 - 2.0 * r * xy + y2)
+        return out + _log_dist_power(a, r, x2, xy, y2) if a > 0 else out
+
+    return _rule_integral_log(X, Y, r.size, terms)
+
+
 def _second_half_integral_log(
-    n: int, a: int, X: np.ndarray, Y: np.ndarray, piece: str
+    a: int, X: np.ndarray, Y: np.ndarray, piece: str = "full"
 ) -> np.ndarray:
     """Bare integral over r in (1/2, 1) of the sharp-peak piece.
 
@@ -349,55 +363,46 @@ def _second_half_integral_log(
     """
     if piece not in ("full", "near", "mid", "edge"):
         raise ValueError(f"unknown piece {piece!r}")
+    n = X.shape[1]
     r0, yperp_sq, _, _ = _polar_batch(X, Y)
-    rows = [v[:, None] for v in (r0, yperp_sq, *_row_dots(X, Y))]
     u = _U_NODES[None, :]
     r = 1.0 - u
-    out = np.empty(len(X))
-    for blk in _row_blocks(len(X), u.size):
-        r0, yperp_sq, x2, xy, y2 = (v[blk] for v in rows)
+
+    def terms(x2, xy, y2, r0, yperp_sq):
         expo = -_EXPONENT_C * ((r - r0) ** 2 * x2 + yperp_sq) / u
-        terms = expo - 0.5 * (n + a + 2) * np.log(u) + _U_LOGW[None, :]
+        out = expo - 0.5 * (n + a + 2) * np.log(u) + _U_LOGW[None, :]
         if a > 0:
-            xry = x2 - 2.0 * r * xy + r * r * y2
-            with np.errstate(divide="ignore"):
-                terms = terms + 0.5 * a * np.log(np.maximum(xry, 0.0))
-        if piece != "full":
-            below = r0 < 1.0
-            s = 1.0 - r0
-            near = below & (np.abs(r - r0) < 0.5 * s)
-            edge_lo = below & (u <= 0.5 * s)
-            mid_lo = below & (r < 0.5 * (3.0 * r0 - 1.0))
-            mid_hi = ~below & (u > 1.5 * (r0 - 1.0))
-            edge_hi = ~below & ~mid_hi
-            if piece == "near":
-                mask = near
-            elif piece == "mid":
-                mask = mid_lo | mid_hi
-            else:
-                mask = edge_lo | edge_hi
-            terms = np.where(mask, terms, -np.inf)
-        out[blk] = signed_logsumexp(terms, axis=1)[1]
-    return out
+            out = out + _log_dist_power(a, r, x2, xy, y2)
+        if piece == "full":
+            return out
+        below = r0 < 1.0
+        s = 1.0 - r0
+        mid_hi = ~below & (u > 1.5 * (r0 - 1.0))
+        if piece == "near":
+            mask = below & (np.abs(r - r0) < 0.5 * s)
+        elif piece == "mid":
+            mask = (below & (r < 0.5 * (3.0 * r0 - 1.0))) | mid_hi
+        else:
+            mask = (below & (u <= 0.5 * s)) | (~below & ~mid_hi)
+        return np.where(mask, out, -np.inf)
+
+    return _rule_integral_log(X, Y, u.size, terms, r0, yperp_sq)
 
 
 def lemma_kernel_batch(spec: LemmaKernelSpec, x, Y) -> np.ndarray:
-    """log kernel values for the pair rows (x, y) (all kernels are >= 0);
-    x is one point shared by every row of Y or one point per row."""
+    """log of the collapsed-peak kernel L44 (>= 0) for the pair rows (x, y);
+    x is one point shared by every row of Y or one point per row.  The
+    rank-one kernel L42 is radial in x and has its own form,
+    _rank_one_radial_log."""
+    if spec.kernel_id != "L44":
+        raise ValueError("the batch form covers the collapsed-peak kernel L44 only")
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if Y.shape[1] != spec.n:
         raise ValueError("Y has the wrong dimension")
     X = np.broadcast_to(np.asarray(x, dtype=float), Y.shape)
     n = spec.n
-    kid = spec.kernel_id
-    x_norm = np.linalg.norm(X, axis=1)
+    x_norm, r0, yperp_sq, _ = _peak_rows(X, Y)
     base = -x_norm * x_norm + np.sum(Y * Y, axis=1)
-    if kid == "L42":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            radial = np.where(x_norm > 0, -spec.mu * np.log(x_norm), np.inf)
-        return base + radial - spec.nu * np.log1p(x_norm)
-    # L44: the collapsed-peak kernel on the aligned sector
-    r0, yperp_sq, _, _ = _polar_batch(X, Y)
     log_x = np.log(x_norm)
     dpar = np.abs(1.0 - r0) * x_norm
     ypar = np.abs(r0) * x_norm
@@ -412,7 +417,7 @@ def lemma_kernel_batch(spec: LemmaKernelSpec, x, Y) -> np.ndarray:
     return np.where(mask, vals, -np.inf)
 
 
-def near_diagonal_profile_integral(n: int, mu: float, nu: float, X, Y) -> np.ndarray:
+def near_diagonal_profile_integral(mu: float, nu: float, X, Y) -> np.ndarray:
     """log of int_0^1 |x - r y|^nu (1 - r^2)^{-(n+mu)/2} e^{-|x-ry|^2/(1-r^2)} dr
     for each pair row (x, y).
 
@@ -421,41 +426,33 @@ def near_diagonal_profile_integral(n: int, mu: float, nu: float, X, Y) -> np.nda
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    dots = [v[:, None] for v in _row_dots(X, Y)]
-    out = np.empty(len(X))
-    for blk in _row_blocks(len(X), _R_NODES.size + _U_NODES.size):
-        x2, xy, y2 = (v[blk] for v in dots)
+    n = X.shape[1]
+    r = np.concatenate([_R_NODES, 1.0 - _U_NODES])
+    logw = np.concatenate([_R_LOGW, _U_LOGW])
+    s2 = (1.0 - r) * (1.0 + r)
 
-        def chunk_log(r: np.ndarray, logw: np.ndarray) -> np.ndarray:
-            xry = np.maximum(x2 - 2.0 * r * xy + r * r * y2, 0.0)
-            s2 = (1.0 - r) * (1.0 + r)
-            terms = -0.5 * (n + mu) * np.log(s2) - xry / s2 + logw
-            if nu != 0.0:
-                with np.errstate(divide="ignore"):
-                    terms = terms + 0.5 * nu * np.log(xry)
-            return terms
+    def terms(x2, xy, y2):
+        xry = np.maximum(x2 - 2.0 * r * xy + r * r * y2, 0.0)
+        out = -0.5 * (n + mu) * np.log(s2) - xry / s2 + logw
+        return out + _log_dist_power(nu, r, x2, xy, y2) if nu != 0.0 else out
 
-        lo_terms = chunk_log(_R_NODES, _R_LOGW)
-        hi_terms = chunk_log(1.0 - _U_NODES, _U_LOGW)
-        out[blk] = signed_logsumexp(np.concatenate([lo_terms, hi_terms], axis=1), axis=1)[1]
-    return out
+    return _rule_integral_log(X, Y, r.size, terms)
 
 
 # --------------------------------------------------------------------------
 # sharp-peak building blocks of the kernel decomposition
 
 
-def _log_block_a(n: int, a: int, x_norm, r0, yperp_sq) -> np.ndarray:
+def _log_block_a(a: int, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """log of the peak-window block
     (1-r0)^{-(n-a+1)/2} |x|^{a-1} e^{-c'|y_perp|^2/(1-r0)} min(1, |x| sqrt(1-r0))
-    with the reduced block constant c'.
+    with the reduced block constant c', for each pair row.
     """
-    r0 = np.asarray(r0, dtype=float)
-    yperp_sq = np.asarray(yperp_sq, dtype=float)
+    x_norm, r0, yperp_sq, _ = _peak_rows(X, Y)
     s = 1.0 - r0
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (
-            -0.5 * (n - a + 1) * np.log(s)
+            -0.5 * (X.shape[1] - a + 1) * np.log(s)
             + (a - 1) * np.log(x_norm)
             - _BLOCK_C * yperp_sq / s
             + np.minimum(0.0, np.log(x_norm) + 0.5 * np.log(s))
@@ -463,18 +460,17 @@ def _log_block_a(n: int, a: int, x_norm, r0, yperp_sq) -> np.ndarray:
     return np.where(s > 0.0, out, -np.inf)
 
 
-def _log_block_b(n: int, a: int, x_norm, r0, yperp_sq) -> np.ndarray:
+def _log_block_b(a: int, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """log of the perpendicular block
     (1-r0)^{-(n+a+2)/2} |y_perp|^a e^{-c'|y_perp|^2/(1-r0)}
         min(sqrt(1-r0)/|x|, 1-r0)
-    with the reduced block constant c'.
+    with the reduced block constant c', for each pair row.
     """
-    r0 = np.asarray(r0, dtype=float)
-    yperp_sq = np.asarray(yperp_sq, dtype=float)
+    x_norm, r0, yperp_sq, _ = _peak_rows(X, Y)
     s = 1.0 - r0
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (
-            -0.5 * (n + a + 2) * np.log(s)
+            -0.5 * (X.shape[1] + a + 2) * np.log(s)
             - _BLOCK_C * yperp_sq / s
             + np.minimum(0.5 * np.log(s) - np.log(x_norm), np.log(s))
         )
@@ -526,6 +522,13 @@ class SweepResult:
         return math.exp(self.log_max_ratio)
 
 
+def _doubling_sup(stat: np.ndarray, count: int) -> tuple[float, float, float]:
+    """(sup, sup over the first count rows, expm1 of their gap) of a
+    prefix-nested sample; a non-finite sup drifts by inf."""
+    base, full = float(np.max(stat[:count])), float(np.max(stat))
+    return full, base, math.expm1(full - base) if math.isfinite(full) else math.inf
+
+
 def bound_ratio_sweep(
     target_log: Callable[[np.ndarray, np.ndarray], np.ndarray],
     bound_log: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -547,18 +550,15 @@ def bound_ratio_sweep(
     b = bound_log(X, Y)
     with np.errstate(invalid="ignore"):
         ratios = np.where(t == -np.inf, -np.inf, np.where(b == -np.inf, np.inf, t - b))
-    base = float(np.max(ratios[:count]))
-    full = float(np.max(ratios))
+    full, base, rel = _doubling_sup(ratios, count)
     best = int(np.argmax(ratios))
-    rel = math.expm1(full - base) if math.isfinite(full) else math.inf
-    stable = math.isfinite(full) and rel <= _STABILITY_TOL
     return SweepResult(
         key=key,
         count=count,
         log_max_ratio=full,
         log_max_ratio_base=base,
         rel_change=rel,
-        stable=stable,
+        stable=math.isfinite(full) and rel <= _STABILITY_TOL,
         argmax=(X[best].tolist(), Y[best].tolist()),
     )
 
@@ -629,31 +629,13 @@ class SweepSpec:
     runner: Callable[[int, int], SweepResult]
 
 
-def _combine_sub_results(key: str, subs: dict[str, SweepResult]) -> SweepResult:
-    best_label = max(subs, key=lambda k: subs[k].log_max_ratio)
-    best = subs[best_label]
-    return SweepResult(
-        key=key,
-        count=best.count,
-        log_max_ratio=max(r.log_max_ratio for r in subs.values()),
-        log_max_ratio_base=best.log_max_ratio_base,
-        rel_change=max(r.rel_change for r in subs.values()),
-        stable=all(r.stable for r in subs.values()),
-        argmax=best.argmax,
-        detail={k: r.log_max_ratio for k, r in subs.items()},
-    )
-
-
-def _sweep_runner(key: str, cases, count_factor: int = 1):
+def _sweep_runner(key: str, cases: dict, count_factor: int = 1):
     """Runner of one registry entry.
 
     cases maps labels to (target_log, bound_log, sampler) and the entry
-    reports the worst case, with each case's maximum in detail; a bare
-    tuple is a single unlabeled case.  Case i draws count * count_factor
-    pairs from the seed stream [seed, i].
+    reports the worst case, with each case's maximum in detail.  Case i
+    draws count * count_factor pairs from the seed stream [seed, i].
     """
-    labeled = isinstance(cases, dict)
-    items = list(cases.items()) if labeled else [(None, cases)]
 
     def run(count: int, seed: int) -> SweepResult:
         subs = {
@@ -665,9 +647,19 @@ def _sweep_runner(key: str, cases, count_factor: int = 1):
                 np.random.default_rng([seed, i]),
                 key=key,
             )
-            for i, (label, (target, bound, sampler)) in enumerate(items)
+            for i, (label, (target, bound, sampler)) in enumerate(cases.items())
         }
-        return _combine_sub_results(key, subs) if labeled else subs[None]
+        best = max(subs.values(), key=lambda r: r.log_max_ratio)
+        return SweepResult(
+            key=key,
+            count=best.count,
+            log_max_ratio=best.log_max_ratio,
+            log_max_ratio_base=best.log_max_ratio_base,
+            rel_change=max(r.rel_change for r in subs.values()),
+            stable=all(r.stable for r in subs.values()),
+            argmax=best.argmax,
+            detail={k: r.log_max_ratio for k, r in subs.items()},
+        )
 
     return run
 
@@ -697,10 +689,6 @@ def _build_registry() -> dict[str, SweepSpec]:
     def norm(V):
         return np.linalg.norm(V, axis=1)
 
-    def peak(X, Y):
-        r0, yp, st, _ = _polar_batch(X, Y)
-        return norm(X), r0, yp, st
-
     def local(dim):
         return lambda rng, count: sample_local_pairs(rng, dim, count)
 
@@ -713,34 +701,19 @@ def _build_registry() -> dict[str, SweepSpec]:
     def kernel_log(alpha):
         return lambda X, Y: riesz_kernel_batch(alpha, X, Y)[1]
 
-    def first_half(a, X, Y):
-        return _first_half_integral_log(n, a, X, Y)
-
-    def second_half(piece):
-        return lambda a, X, Y: _second_half_integral_log(n, a, X, Y, piece)
-
     def growth(a, X, Y):
         return n * np.log1p(norm(X))
 
     def angular(a, X, Y):
-        xn, _, _, st = peak(X, Y)
+        xn, _, _, st = _peak_rows(X, Y)
         with np.errstate(divide="ignore"):
             return -n * (np.log(xn) + np.log(st))
 
     def growth_angular(a, X, Y):
-        xn, _, _, st = peak(X, Y)
-        return _log_min_growth_angular(n, xn, st)
-
-    def block_a(a, X, Y):
-        xn, r0, yp, _ = peak(X, Y)
-        return _log_block_a(n, a, xn, r0, yp)
-
-    def block_b(a, X, Y):
-        xn, r0, yp, _ = peak(X, Y)
-        return _log_block_b(n, a, xn, r0, yp)
+        return np.minimum(growth(a, X, Y), angular(a, X, Y))
 
     def blocks_ab(a, X, Y):
-        return np.logaddexp(block_a(a, X, Y), block_b(a, X, Y))
+        return np.logaddexp(_log_block_a(a, X, Y), _log_block_b(a, X, Y))
 
     def near_bound(a, X, Y):
         xn, yn = norm(X), norm(Y)
@@ -749,13 +722,13 @@ def _build_registry() -> dict[str, SweepSpec]:
         return np.logaddexp(first, (a - n) * np.log(xn))
 
     def block_a_short(a, X, Y):
-        xn, r0, _, _ = peak(X, Y)
-        return np.where(xn * xn * (1.0 - r0) > 1.0, -np.inf, block_a(a, X, Y))
+        xn, r0, _, _ = _peak_rows(X, Y)
+        return np.where(xn * xn * (1.0 - r0) > 1.0, -np.inf, _log_block_a(a, X, Y))
 
     def block_a_long(a, X, Y):
-        xn, r0, _, _ = peak(X, Y)
+        xn, r0, _, _ = _peak_rows(X, Y)
         off = (xn * xn * (1.0 - r0) < 1.0) | (r0 < 1.0 / 3.0) | (r0 >= 1.0)
-        return np.where(off, -np.inf, block_a(a, X, Y))
+        return np.where(off, -np.inf, _log_block_a(a, X, Y))
 
     def collapsed_peak(a, X, Y):
         lm = lemma_kernel_batch(LemmaKernelSpec("L44", n=n, delta=_BLOCK_C), X, Y)
@@ -763,11 +736,11 @@ def _build_registry() -> dict[str, SweepSpec]:
         return lm + xn * xn - yn * yn
 
     def window_integral(X, Y):
-        xn, r0, _, _ = peak(X, Y)
+        xn, r0, _, _ = _peak_rows(X, Y)
         return window_gaussian_integral_log(xn, r0)
 
     def window_bound(X, Y):
-        xn, r0, _, _ = peak(X, Y)
+        xn, r0, _, _ = _peak_rows(X, Y)
         s = 1.0 - r0
         return np.minimum(0.5 * np.log(s) - np.log(xn), np.log(s))
 
@@ -775,8 +748,8 @@ def _build_registry() -> dict[str, SweepSpec]:
         xn, yn = norm(X), norm(Y)
         parts = []
         for a in range(decomposed.order + 1):
-            parts.append(_first_half_integral_log(n, a, X, Y))
-            parts.append(_second_half_integral_log(n, a, X, Y, "full"))
+            parts.append(_first_half_integral_log(a, X, Y))
+            parts.append(_second_half_integral_log(a, X, Y))
         return -xn * xn + yn * yn + signed_logsumexp(np.stack(parts, axis=1), axis=1)[1]
 
     def gradient_log(alpha):
@@ -785,58 +758,58 @@ def _build_registry() -> dict[str, SweepSpec]:
     add(
         "step1-far",
         "first-half integral against |x|^{1-n} when |y| >= 2|x|",
-        per_a(first_half, x_power(1 - n), _sampler_shell(n, 2.0, 4.0)),
+        per_a(_first_half_integral_log, x_power(1 - n), _sampler_shell(n, 2.0, 4.0)),
     )
     add(
         "step1-near",
         "first-half integral against its two-term comparison when |y| < 2|x|",
-        per_a(first_half, near_bound, _sampler_shell(n, 0.05, 2.0)),
+        per_a(_first_half_integral_log, near_bound, _sampler_shell(n, 0.05, 2.0)),
         count_factor=4,
     )
     add(
         "case-2.1",
         "second-half integral against |x|^{-n} when the peak sits at r0 <= 1/3",
-        per_a(second_half("full"), x_power(-n), _sampler_peak(n, 0.02, 1.0 / 3.0)),
+        per_a(_second_half_integral_log, x_power(-n), _sampler_peak(n, 0.02, 1.0 / 3.0)),
         count_factor=4,
     )
     add(
         "case-2.2",
         "second-half integral against |x|^{-n} when the peak sits at r0 >= 2",
-        per_a(second_half("full"), x_power(-n), _sampler_peak(n, 2.0, 4.0)),
+        per_a(_second_half_integral_log, x_power(-n), _sampler_peak(n, 2.0, 4.0)),
         count_factor=16,
     )
     add(
         "case-2.3.1",
         "peak-window part of the second-half integral against block A + block B",
-        per_a(second_half("near"), blocks_ab, below),
+        per_a(partial(_second_half_integral_log, piece="near"), blocks_ab, below),
     )
     add(
         "case-2.3.2",
         "pre-peak part of the second-half integral against growth/angular min",
-        per_a(second_half("mid"), growth_angular, around),
+        per_a(partial(_second_half_integral_log, piece="mid"), growth_angular, around),
         count_factor=4,
     )
     add(
         "case-2.3.3",
         "endpoint part of the second-half integral against growth/angular min",
-        per_a(second_half("edge"), growth_angular, around),
+        per_a(partial(_second_half_integral_log, piece="edge"), growth_angular, around),
         count_factor=4,
     )
     add(
         "A-growth",
         "block A against (1+|x|)^n",
-        per_a(block_a, growth, below),
+        per_a(_log_block_a, growth, below),
         count_factor=16,
     )
     add(
         "A10",
         "block A at a = 0 against the angular comparison",
-        per_a(block_a, angular, below, a_values=(0,)),
+        per_a(_log_block_a, angular, below, a_values=(0,)),
     )
     add(
         "A11",
         "block A at a = 1 against the angular comparison",
-        per_a(block_a, angular, below, a_values=(1,)),
+        per_a(_log_block_a, angular, below, a_values=(1,)),
         count_factor=16,
     )
     add(
@@ -852,34 +825,36 @@ def _build_registry() -> dict[str, SweepSpec]:
     add(
         "B-growth",
         "block B against (1+|x|)^n",
-        per_a(block_b, growth, below),
+        per_a(_log_block_b, growth, below),
         count_factor=16,
     )
     add(
         "B-angular",
         "block B against the angular comparison",
-        per_a(block_b, angular, below),
+        per_a(_log_block_b, angular, below),
     )
     add(
         "stimaint",
         "peak-window Gaussian integral against min(sqrt(1-r0)/|x|, 1-r0)",
-        (window_integral, window_bound, below),
+        {f"n={n}": (window_integral, window_bound, below)},
     )
     add(
         "decomposition",
         "full kernel against the shared-factor sum of first/second-half integrals",
-        (
-            kernel_log(decomposed),
-            decomposition_bound,
-            lambda rng, count: sample_global_pairs(rng, n, count, radius=6.0),
-        ),
+        {
+            f"n={n}": (
+                kernel_log(decomposed),
+                decomposition_bound,
+                lambda rng, count: sample_global_pairs(rng, n, count, radius=6.0),
+            )
+        },
     )
     add(
         "local-integral",
         "near-diagonal profile integral against |x-y|^{-(n+mu-nu-2)} at mu=3, nu=0",
         {
             f"n={d}": (
-                partial(near_diagonal_profile_integral, d, mu, nu),
+                partial(near_diagonal_profile_integral, mu, nu),
                 separation_power(-(d + mu - nu - 2.0)),
                 local(d),
             )
@@ -889,12 +864,12 @@ def _build_registry() -> dict[str, SweepSpec]:
     add(
         "cz-kernel",
         "kernel size against |x-y|^{-n} on the local region",
-        (kernel_log(cz_alpha), separation_power(-n), local(n)),
+        {f"n={n}": (kernel_log(cz_alpha), separation_power(-n), local(n))},
     )
     add(
         "cz-gradient",
         "kernel gradient size against |x-y|^{-(n+1)} on the local region",
-        (gradient_log(cz_alpha), separation_power(-(n + 1)), local(n)),
+        {f"n={n}": (gradient_log(cz_alpha), separation_power(-(n + 1)), local(n))},
     )
     return entries
 
@@ -977,27 +952,18 @@ class CZLocalResult:
     gradient_rel_change: float
 
 
-def czlocal_supremum(
-    alpha: MultiIndex, n: int, count: int, rng: np.random.Generator
-) -> CZLocalResult:
+def czlocal_supremum(alpha: MultiIndex, count: int, rng: np.random.Generator) -> CZLocalResult:
+    n = alpha.dim
     X, Y = sample_local_pairs(rng, n, 2 * count)
     sep = np.linalg.norm(X - Y, axis=1)
     _, log_k = riesz_kernel_batch(alpha, X, Y)
-    stat_k = log_k + n * np.log(sep)
     gx, gy = _fd_gradient_logs(alpha, X, Y)
-    stat_g = np.logaddexp(gx, gy) + (n + 1) * np.log(sep)
-    k_base, k_full = float(np.max(stat_k[:count])), float(np.max(stat_k))
-    g_base, g_full = float(np.max(stat_g[:count])), float(np.max(stat_g))
     return CZLocalResult(
-        alpha=tuple(alpha),
-        n=n,
-        count=count,
-        log_sup_kernel=k_full,
-        log_sup_kernel_base=k_base,
-        kernel_rel_change=math.expm1(k_full - k_base),
-        log_sup_gradient=g_full,
-        log_sup_gradient_base=g_base,
-        gradient_rel_change=math.expm1(g_full - g_base),
+        tuple(alpha),
+        n,
+        count,
+        *_doubling_sup(log_k + n * np.log(sep), count),
+        *_doubling_sup(np.logaddexp(gx, gy) + (n + 1) * np.log(sep), count),
     )
 
 
@@ -1120,7 +1086,7 @@ def _tube(n: int, eta: float, perp_half: float = 1.0):
 class CounterexampleConfig:
     """Growth-law experiment: normalized ball indicator at the diagonal
     point, transform evaluated over the displaced tube, weak quasi-norm
-    lower bound per eta.
+    lower bound per eta, in dimension n = 1 or 2.
 
     The tube and the ball must be separated: |z|/3 - ball_radius >= 0.5.
     grid_axis is the axis cell count at the smallest eta; larger etas get
@@ -1143,6 +1109,8 @@ class CounterexampleConfig:
         object.__setattr__(self, "etas", tuple(float(e) for e in self.etas))
         if self.alpha.order < 1:
             raise ValueError("the transform needs |alpha| >= 1")
+        if self.n not in (1, 2):
+            raise ValueError(f"the tube experiment needs n = 1 or 2, got {self.n}")
         if self.alpha.dim != self.n:
             raise ValueError("alpha dimension must match n")
         if not (_finite_positive(self.ball_radius) and _finite_positive(self.tube_perp_half)):

@@ -81,8 +81,8 @@ def test_3_closed_form_amplifications():
     # a first derivative, sqrt(8) for a second, both attained at the lowest
     # shell; the sweep runs to shell 10^4 so the sup is located, not assumed
     t0 = time.monotonic()
-    r1 = l2_norm_bound(MultiIndex.of(1), 1, 10_000)
-    r2 = l2_norm_bound(MultiIndex.of(2), 1, 10_000)
+    r1 = l2_norm_bound(MultiIndex.of(1), 10_000)
+    r2 = l2_norm_bound(MultiIndex.of(2), 10_000)
     e1 = abs(r1.value - math.sqrt(2.0))
     e2 = abs(r2.value - math.sqrt(8.0))
     elapsed = time.monotonic() - t0
@@ -164,7 +164,7 @@ def test_5_local_kernel_suprema():
     # from 1000 to 2000 pairs, the finite-sample form of "these sups exist"
     t0 = time.monotonic()
     results = [
-        wt.czlocal_supremum(MultiIndex.of(*a), 2, 1000, np.random.default_rng(11))
+        wt.czlocal_supremum(MultiIndex.of(*a), 1000, np.random.default_rng(11))
         for a in ((1, 0), (1, 1), (2, 1))
     ]
     drift = max(

@@ -66,10 +66,9 @@ class TestKernelCommand:
         assert "invalid input" in err
 
     def test_dimension_mismatch(self, capsys):
-        code, _, _ = run(
-            capsys, "kernel", "--alpha", "1", "--n", "2", "--x", "0.5", "--y", "1.0"
-        )
+        code, _, err = run(capsys, "kernel", "--alpha", "1", "--x", "0.5,0.2", "--y", "1.0")
         assert code == 2
+        assert "dimension" in err
 
     def test_missing_points(self, capsys):
         code, _, _ = run(capsys, "kernel", "--alpha", "1")
@@ -296,6 +295,13 @@ class TestCounterexampleCommand:
         assert code == 2
         assert out == ""
         assert "etas must be positive and finite" in err
+
+    def test_unsupported_dimension_maps_to_exit_two(self, capsys):
+        # the tube experiment has ball nodes for n <= 2 only
+        code, out, err = run(capsys, "counterexample", "--alpha", "1,0,0", "--etas", "4")
+        assert code == 2
+        assert out == ""
+        assert "n = 1 or 2" in err
 
 
 class TestConfigResolution:

@@ -231,9 +231,10 @@ def test_batch_kernel_exp_stays_off_underflow(monkeypatch):
     pairs = list(_tube_ball_pairs(20.0, 64, np.random.default_rng(3)))
     X = np.array([x for x, _ in pairs])
     Y = np.array([y for _, y in pairs])
-    kernels._batch_rule(2, 3)
+    nodes = kernels._batch_rule(2, 3)[0].size
+    monkeypatch.setattr(kernels, "_BLOCK_PAIR_NODES", 16 * nodes)
     monkeypatch.setattr(kernels, "np", _RecordingNumpy())
-    riesz_kernel_batch(MultiIndex.of(2, 1), X, Y, chunk=16)
+    riesz_kernel_batch(MultiIndex.of(2, 1), X, Y)
     assert seen and min(seen) >= -NEGLIGIBLE_LOGMAG
 
 
@@ -303,7 +304,7 @@ def test_batch_kernel_zero_rows():
     assert s.shape == lm.shape == (0,)
 
 
-def test_batch_kernel_rows_independent_of_chunk():
+def test_batch_kernel_rows_independent_of_chunk(monkeypatch):
     # each row's value comes from the same arithmetic whatever block it
     # lands in, so the block size cannot change a single bit
     rng = np.random.default_rng(5)
@@ -311,9 +312,12 @@ def test_batch_kernel_rows_independent_of_chunk():
         X = rng.uniform(-3, 3, size=(37, alpha.dim))
         Y = X + rng.normal(size=X.shape) * np.exp(rng.uniform(-6, 1, size=(37, 1)))
         s, lm = riesz_kernel_batch(alpha, X, Y)
-        for chunk in (1, 8, 36):
-            s_c, lm_c = riesz_kernel_batch(alpha, X, Y, chunk=chunk)
-            assert np.array_equal(s_c, s) and np.array_equal(lm_c, lm)
+        nodes = kernels._batch_rule(alpha.dim, alpha.order)[0].size
+        with monkeypatch.context() as patch:
+            for chunk in (1, 8, 36):
+                patch.setattr(kernels, "_BLOCK_PAIR_NODES", chunk * nodes)
+                s_c, lm_c = riesz_kernel_batch(alpha, X, Y)
+                assert np.array_equal(s_c, s) and np.array_equal(lm_c, lm)
         s_one, lm_one = riesz_kernel_batch(alpha, X[11], Y[11])
         assert s_one[0] == s[11] and lm_one[0] == lm[11]
 

@@ -1,9 +1,12 @@
 """Eigenbasis expansions and the coefficient-space transform."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rieszlab.geometry import MultiIndex
 from rieszlab.hermite import gamma_h, h_normalized
@@ -110,17 +113,63 @@ def test_apply_riesz_spectral_shifts_degrees():
 
 
 def test_l2_norm_bound_closed_forms():
-    first = l2_norm_bound(MultiIndex.of(1), 1, 10_000)
+    first = l2_norm_bound(MultiIndex.of(1), 10_000)
     assert abs(first.value - math.sqrt(2.0)) <= 1e-12
     assert first.argmax == (0,) and first.sup_located
-    second = l2_norm_bound(MultiIndex.of(2), 1, 10_000)
+    second = l2_norm_bound(MultiIndex.of(2), 10_000)
     assert abs(second.value - math.sqrt(8.0)) <= 1e-12
     assert second.argmax == (0,) and second.sup_located
     # the balanced two-dimensional case peaks at 1 on every even shell
-    cross = l2_norm_bound(MultiIndex.of(1, 1), 2, 200)
+    cross = l2_norm_bound(MultiIndex.of(1, 1), 200)
     assert cross.value == pytest.approx(1.0, abs=1e-12)
     assert cross.argmax == (0, 0) and cross.sup_located
     with pytest.raises(ValueError):
-        l2_norm_bound(MultiIndex.of(1), 2, 10)
-    with pytest.raises(ValueError):
-        l2_norm_bound(MultiIndex.of(1, 0, 0), 3, 500)
+        l2_norm_bound(MultiIndex.of(1, 0, 0), 500)
+
+
+def _norm_bound_by_composition(alpha, b_max):
+    """(value, argmax, sup_located) of l2_norm_bound, one composition at a
+    time: the ratio is the product over j and i = 1..alpha_j of
+    2 (beta_j + i) / (|beta| + n), and the argmax is the first maximizer in
+    the order of total degree, then descending lexicographic."""
+    n = len(alpha)
+    betas = sorted(
+        (b for b in itertools.product(range(b_max + 1), repeat=n) if sum(b) <= b_max),
+        key=lambda b: (sum(b), [-bj for bj in b]),
+    )
+    shell_max = [0.0] * (b_max + 1)
+    best, best_beta = -1.0, None
+    for beta in betas:
+        ratio = 1.0
+        for bj, aj in zip(beta, alpha):
+            for i in range(1, aj + 1):
+                ratio *= 2.0 * (bj + i) / (sum(beta) + n)
+        shell_max[sum(beta)] = max(shell_max[sum(beta)], ratio)
+        if ratio > best:
+            best, best_beta = ratio, beta
+    # located: the last tenth of the shells (at least two) set no new record
+    tail = max(len(shell_max) // 10, 2)
+    head = shell_max[:-tail]
+    located = not head or all(v <= max(head) * (1.0 + 1e-12) for v in shell_max[-tail:])
+    return math.sqrt(best), best_beta, located
+
+
+@st.composite
+def _norm_bound_cases(draw):
+    n = draw(st.integers(1, 3))
+    alpha = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(lambda a: sum(a) <= 4))
+    return tuple(alpha), draw(st.integers(0, 30))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(_norm_bound_cases())
+@example(((1, 1), 30))
+@example(((2, 2), 7))
+@example(((1, 1, 1), 30))
+@example(((4,), 0))
+def test_l2_norm_bound_matches_per_composition_loop(case):
+    # same factors in the same order, so the values agree exactly, and
+    # shell ties resolve to the first beta in total_degree_indices order
+    alpha, b_max = case
+    res = l2_norm_bound(MultiIndex.of(*alpha), b_max)
+    assert (res.value, res.argmax, res.sup_located) == _norm_bound_by_composition(alpha, b_max)

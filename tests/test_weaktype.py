@@ -3,6 +3,7 @@ growth experiment."""
 
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -136,7 +137,7 @@ class TestLemmaKernelSpec:
             wt.LemmaKernelSpec("L42", 1, piece="near")
         X, Y = np.array([[1.5]]), np.array([[1.2]])
         with pytest.raises(ValueError):
-            wt._second_half_integral_log(1, 0, X, Y, "nearby")
+            wt._second_half_integral_log(0, X, Y, "nearby")
 
     def test_inside_regime_hypotheses(self):
         with pytest.raises(ValueError):
@@ -157,12 +158,12 @@ class TestLemmaKernelSpec:
             wt.LemmaKernelSpec("L44", 1, regime="maybe")
 
 
-def _first_half(n, a):
-    return lambda X, Y: wt._first_half_integral_log(n, a, X, Y)
+def _first_half(a):
+    return lambda X, Y: wt._first_half_integral_log(a, X, Y)
 
 
-def _second_half(n, a, piece="full"):
-    return lambda X, Y: wt._second_half_integral_log(n, a, X, Y, piece)
+def _second_half(a, piece="full"):
+    return lambda X, Y: wt._second_half_integral_log(a, X, Y, piece)
 
 
 def _catalog(spec):
@@ -174,7 +175,7 @@ class TestLemmaKernels:
         # n=1, a=0: int_0^{1/2} e^{-(rx-y)^2} dr has an error-function form
         x = np.array([1.7])
         for y in (0.6, -0.9, 2.4):
-            got = float(wt._first_half_integral_log(1, 0, x[None, :], np.array([[y]]))[0])
+            got = float(wt._first_half_integral_log(0, x[None, :], np.array([[y]]))[0])
             want = (
                 math.sqrt(math.pi)
                 / (2.0 * 1.7)
@@ -185,7 +186,7 @@ class TestLemmaKernels:
     def test_first_half_weighted_oracle(self):
         x = np.array([1.1, -0.4])
         y = np.array([0.3, 0.8])
-        got = float(wt._first_half_integral_log(2, 2, x[None, :], y[None, :])[0])
+        got = float(wt._first_half_integral_log(2, x[None, :], y[None, :])[0])
 
         def integrand(r):
             return (
@@ -205,9 +206,9 @@ class TestLemmaKernels:
             x = rng.normal(size=n) * rng.uniform(0.5, 4.0)
             Y = rng.normal(size=(8, n)) * rng.uniform(0.3, 4.0)
             X = np.broadcast_to(x, Y.shape)
-            full = wt._second_half_integral_log(n, a, X, Y, "full")
+            full = wt._second_half_integral_log(a, X, Y, "full")
             parts = np.stack(
-                [wt._second_half_integral_log(n, a, X, Y, p) for p in ("near", "mid", "edge")]
+                [wt._second_half_integral_log(a, X, Y, p) for p in ("near", "mid", "edge")]
             )
             combo = np.logaddexp.reduce(parts, axis=0)
             live = np.isfinite(full)
@@ -225,10 +226,9 @@ class TestLemmaKernels:
         Y = rng.normal(size=(12, 2)) * 1.5
         X = np.broadcast_to(x, Y.shape)
         kernels = [
-            _catalog(wt.LemmaKernelSpec("L42", 2, mu=1.0, nu=0.5)),
             _catalog(wt.LemmaKernelSpec("L44", 2, delta=0.7)),
-            _first_half(2, 1),
-            _second_half(2, 1),
+            _first_half(1),
+            _second_half(1),
         ]
         for kernel in kernels:
             base = kernel(X, Y)
@@ -245,10 +245,9 @@ class TestLemmaKernels:
         X = rng.normal(size=(10, 2)) * 2.0
         Y = rng.normal(size=(10, 2)) * 2.0
         kernels = [
-            _catalog(wt.LemmaKernelSpec("L42", 2, mu=1.0, nu=0.5)),
             _catalog(wt.LemmaKernelSpec("L44", 2, delta=0.7)),
-            _first_half(2, 2),
-            _second_half(2, 1, "mid"),
+            _first_half(2),
+            _second_half(1, "mid"),
         ]
         for kernel in kernels:
             rows = kernel(X, Y)
@@ -256,17 +255,17 @@ class TestLemmaKernels:
             np.testing.assert_allclose(rows, single, rtol=1e-13, atol=1e-13)
 
     def test_sweep_integrals_identical_across_row_blocks(self):
-        # the sweep integrals run in cache-sized row blocks (512, 59 and 53
+        # the sweep integrals run in cache-sized row blocks (256, 29 and 26
         # rows at 64, 552 and 616 nodes); every operation is row-local, so a
         # multi-block call gives each row the bits of its own one-row call
         rng = np.random.default_rng(13)
         for n in (1, 2):
             X = rng.normal(size=(600, n)) * 2.0
             Y = rng.normal(size=(600, n)) * 2.0
-            integrals = [lambda X, Y, n=n: wt.near_diagonal_profile_integral(n, 1.5, 0.5, X, Y)]
+            integrals = [partial(wt.near_diagonal_profile_integral, 1.5, 0.5)]
             for a in (0, 2):
-                integrals.append(_first_half(n, a))
-                integrals += [_second_half(n, a, p) for p in ("full", "near", "mid", "edge")]
+                integrals.append(_first_half(a))
+                integrals += [_second_half(a, p) for p in ("full", "near", "mid", "edge")]
             for integral in integrals:
                 rows = integral(X, Y)
                 single = np.concatenate([integral(X[i : i + 1], Y[i : i + 1]) for i in range(600)])
@@ -286,13 +285,19 @@ class TestLemmaKernels:
         out = wt.lemma_kernel_batch(spec, [3.0, 0.0], [3.5, 0.0])
         assert out.tolist() == [-math.inf]
 
+    def test_rank_one_kernel_has_no_batch_form(self):
+        # the rank-one probes evaluate L42 through its radial factor alone
+        spec = wt.LemmaKernelSpec("L42", 2, mu=1.0, nu=0.5)
+        with pytest.raises(ValueError, match="L44"):
+            wt.lemma_kernel_batch(spec, [3.0, 0.0], [3.5, 0.0])
+
 
 class TestProfileAndBlocks:
     def test_near_diagonal_profile_matches_quadrature(self):
         n, mu, nu = 2, 1.0, 0.5
         x = np.array([1.2, 0.0])
         y = np.array([0.4, 0.3])
-        got = wt.near_diagonal_profile_integral(n, mu, nu, x[None, :], y[None, :])[0]
+        got = wt.near_diagonal_profile_integral(mu, nu, x[None, :], y[None, :])[0]
 
         def integrand(r):
             d2 = float(np.sum((x - r * y) ** 2))
@@ -319,16 +324,24 @@ class TestProfileAndBlocks:
         with pytest.raises(ValueError):
             wt.window_gaussian_integral_log(0.0, 0.5)
 
+    @staticmethod
+    def peak_rows(r0, yperp_sq):
+        # pair rows with x = (2, 0) and y = r0 x + y_perp
+        r0, yperp_sq = np.asarray(r0), np.asarray(yperp_sq)
+        X = np.tile([2.0, 0.0], (r0.size, 1))
+        return X, np.stack([2.0 * r0, np.sqrt(yperp_sq)], axis=1)
+
     def test_blocks_coincide_at_weight_zero(self):
-        r0 = np.array([0.2, 0.7, 0.95])
-        yp = np.array([0.0, 0.3, 1.1])
-        a_block = wt._log_block_a(2, 0, 1.8, r0, yp)
-        b_block = wt._log_block_b(2, 0, 1.8, r0, yp)
+        X, Y = self.peak_rows([0.2, 0.7, 0.95], [0.0, 0.3, 1.1])
+        a_block = wt._log_block_a(0, X, Y)
+        b_block = wt._log_block_b(0, X, Y)
+        assert np.all(np.isfinite(a_block))
         np.testing.assert_allclose(a_block, b_block, atol=1e-12)
 
     def test_blocks_vanish_past_the_peak(self):
-        out = wt._log_block_a(2, 1, 1.8, np.array([1.0, 1.5]), np.array([0.0, 0.0]))
-        assert np.all(out == -math.inf)
+        X, Y = self.peak_rows([1.0, 1.5], [0.0, 0.0])
+        for block in (wt._log_block_a, wt._log_block_b):
+            assert np.all(block(1, X, Y) == -math.inf)
 
 
 class TestBoundRatioSweep:
@@ -491,9 +504,10 @@ class TestRegistry:
         assert math.isfinite(res.log_max_ratio)
 
     def test_czlocal_reproducible(self):
-        a = wt.czlocal_supremum(MultiIndex.of(1, 0), 2, 128, np.random.default_rng(9))
-        b = wt.czlocal_supremum(MultiIndex.of(1, 0), 2, 128, np.random.default_rng(9))
+        a = wt.czlocal_supremum(MultiIndex.of(1, 0), 128, np.random.default_rng(9))
+        b = wt.czlocal_supremum(MultiIndex.of(1, 0), 128, np.random.default_rng(9))
         assert a == b
+        assert a.n == 2
         assert a.kernel_rel_change <= 0.2
         assert a.gradient_rel_change <= 0.2
 
@@ -579,6 +593,10 @@ class TestTubeGeometry:
             wt.CounterexampleConfig(alpha=MultiIndex.of(0, 0), etas=(4.0,), n=2)
         with pytest.raises(ValueError):
             wt.CounterexampleConfig(alpha=MultiIndex.of(1), etas=(4.0,), n=2)
+        # the ball nodes exist for n <= 2 only: refused here, not after the
+        # tube grid is built or inside a pool worker
+        with pytest.raises(ValueError, match="n = 1 or 2"):
+            wt.CounterexampleConfig(alpha=MultiIndex.of(1, 0, 0), etas=(4.0,), n=3)
         with pytest.raises(ValueError):
             wt.CounterexampleConfig(alpha=MultiIndex.of(2, 1), etas=(2.0,), n=2)
         with pytest.raises(ValueError):
