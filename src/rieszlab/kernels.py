@@ -8,11 +8,14 @@ The Riesz kernel of order alpha is the one-dimensional integral
 
 with c_alpha = (-1)^|alpha| / (Gamma(|alpha|/2) pi^{n/2}).  `riesz_kernel`
 evaluates one pair by adaptive quadrature with an error estimate;
-`riesz_kernel_batch` evaluates many pairs on a fixed composite rule.  It
-sums each pair's rule as floats: g = log weight - |u|^2 is shifted by its
-largest value over the nodes, each term is exp(g - shift) times H_alpha(u)
-formed as a float product, and terms with g - shift below -700 are exactly
-0 (so exp never takes an argument in its slow underflow range).
+`riesz_kernel_batch` evaluates many pairs on a fixed composite rule,
+sorted by r and cut into 16-node segments.  Probing g = log weight - |u|^2
+at each segment's middle node, it sums as floats only the segments within
+e^-40 of a pair's largest probe, plus one on each side, shifted by the
+largest g there; terms more than 700 below the shift are exactly 0 (so exp
+never sees its slow underflow range).  Segment sums are added in order, so
+a value reads only its own window; one that cancels below e^-20 of its
+largest term is summed again over the whole rule.
 """
 
 from __future__ import annotations
@@ -204,6 +207,9 @@ _BATCH_ORDER = 24
 # temporaries then fit a core's L2 cache, while whole 512-row kernel blocks
 # (12 MB at 432 nodes) did not
 _BLOCK_PAIR_NODES = 2**15
+_SEGMENT = 16
+_WINDOW_CUT = 40.0
+_GUARD = 20.0
 
 
 def _row_blocks(m: int, nodes: int, rows: int | None = None) -> list[slice]:
@@ -215,7 +221,8 @@ def _row_blocks(m: int, nodes: int, rows: int | None = None) -> list[slice]:
 
 @lru_cache(maxsize=32)
 def _batch_rule(n: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Composite nodes (r, 1/sqrt(1-r^2), log weight incl. all r-factors)."""
+    """Composite nodes (r, 1/sqrt(1-r^2), log weight incl. all r-factors),
+    by increasing r."""
     t, w_t = gauss_legendre(_T_EDGES, _BATCH_ORDER)
     v, w_v = gauss_legendre(_V_EDGES, _BATCH_ORDER)
     # t = -log r toward r = 0, v = -log(1 - r) toward r = 1
@@ -234,11 +241,12 @@ def _batch_rule(n: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         - 0.5 * (n + order) * np.log(one_m_r2_v)
         - v
     )
-    one_m_r2 = np.concatenate((one_m_r2_t, one_m_r2_v))
+    # r falls along the t nodes and rises along the v nodes
+    one_m_r2 = np.concatenate((one_m_r2_t[::-1], one_m_r2_v))
     return (
-        np.concatenate((r_t, r_v)),
+        np.concatenate((r_t[::-1], r_v)),
         1.0 / np.sqrt(one_m_r2),
-        np.concatenate((log_t + np.log(w_t), log_v + np.log(w_v))),
+        np.concatenate(((log_t + np.log(w_t))[::-1], log_v + np.log(w_v))),
     )
 
 
@@ -279,19 +287,19 @@ def riesz_kernel_batch(
     that the fixed rule is unconverged, with 18 of 25 pairs off by more
     than 1e-6 and the worst by 3.1e-4 (alpha (2,2) at separation 3.8e-5).
 
-    Each pair's rule is summed as floats under one Gaussian shift: with
-    g = log weight - |u|^2 and shift = max over the nodes of g, the sum is
-    exp(shift) times the sum of exp(g - shift) H_alpha(u), with H_alpha the
-    float product of its one-dimensional Hermite factors.  Terms with
-    g - shift < -NEGLIGIBLE_LOGMAG (-700) are exactly 0, at most 1e-304 of
-    the largest weight; on far tube/ball pairs that is a large share of
-    the nodes.  A Hermite factor that overflows at a node that is kept
-    raises ValueError.  That takes an order in the hundreds: H_40 at
-    x = 0.5, y = 1.5 overflows only at dropped nodes, and the value matches
-    an mpmath reference to 1e-9.  Rows go in blocks of 2^15 pair-nodes
-    (75 rows of the 432-node rule) so that a block's temporaries stay in a
-    core's L2 cache.  Every operation is row-local, so no value depends on
-    the block size.
+    Each pair sums, as floats, only its window of the r-sorted rule: the
+    _SEGMENT-node segments whose middle-node g = log weight - |u|^2 is
+    within e^-_WINDOW_CUT of its largest such probe, plus one on each side,
+    under shift = the max of g there.  Terms outside the window or with
+    g - shift < -NEGLIGIBLE_LOGMAG (1e-304 of the largest weight) are
+    exactly 0, segment sums are added in order, and a sum below e^-_GUARD
+    of its largest term is redone over the whole rule.  A Hermite factor
+    that overflows at a kept node raises ValueError, which takes an order
+    in the hundreds: H_40 at x = 0.5, y = 1.5 overflows only at dropped
+    nodes and matches an mpmath reference to 1e-9.  Rows sorted by window
+    go in blocks of about 2^15 pair-nodes of their windows' union, so that
+    a block's temporaries stay in a core's L2 cache; no value depends on a
+    row's block or block-mates.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -304,54 +312,86 @@ def riesz_kernel_batch(
     n, order = X.shape[1], alpha.order
     if order < 1:
         raise ValueError("order must be at least 1")
-    r, inv_s, logw = _batch_rule(n, order)
-    pref = _riesz_prefactor(n, order)
-    m = X.shape[0]
-    blocks = _row_blocks(m, r.size)
-    rows = blocks[0].stop if blocks else 0
-    u_buf = np.empty((n, rows, r.size))
-    g_buf = np.empty((rows, r.size))
-    sq_buf = np.empty((rows, r.size))
-    dead_buf = np.empty((rows, r.size), dtype=bool)
-    signs = np.empty(m, dtype=int)
-    logmags = np.empty(m, dtype=float)
+    rule = _batch_rule(n, order)
+    nodes = rule[0].size
+    cap = min(len(X) * nodes, max(_BLOCK_PAIR_NODES, nodes))
+    bufs = (np.empty((n + 1) * cap), np.empty(cap, dtype=bool))
+    sums = np.empty((3, len(X)))  # per row: sum, shift, largest |term|
     # a Hermite factor may overflow at a dead node, whose term is set to 0;
     # an overflow at a live node raises after the row sums
     with np.errstate(over="ignore", invalid="ignore"):
-        for blk in blocks:
-            # u[j] is coordinate j at every (pair, node), shape (rows, nodes),
-            # so each operation runs over contiguous node rows
-            xb = X[blk].T[:, :, None]
-            yb = Y[blk].T[:, :, None]
-            b = xb.shape[1]
-            u, g, dead = u_buf[:, :b], g_buf[:b], dead_buf[:b]
-            np.multiply(yb, -r, out=u)
-            u += xb
-            u *= inv_s
-            # g = log weight - |u|^2, shifted by its row maximum
-            np.multiply(u[0], u[0], out=g)
-            for j in range(1, n):
-                g += np.multiply(u[j], u[j], out=sq_buf[:b])
-            np.subtract(logw, g, out=g)
-            shift = g.max(axis=1)
-            g -= shift[:, None]
-            h = None
-            for j, k in enumerate(alpha):
-                if k:
-                    hv = _hermite_batch(k, u[j])
-                    h = hv if h is None else np.multiply(h, hv, out=h)
-            # term = exp(g) * H at live nodes, g >= -NEGLIGIBLE_LOGMAG, and
-            # exactly 0 at dead ones; the clip keeps exp off its slow
-            # underflow range
-            np.less(g, -NEGLIGIBLE_LOGMAG, out=dead)
-            np.maximum(g, -NEGLIGIBLE_LOGMAG, out=g)
-            np.exp(g, out=g)
-            g *= h
-            np.copyto(g, 0.0, where=dead)
-            total = g.sum(axis=1)
-            if not np.isfinite(total).all():
-                raise ValueError(f"Hermite factor of order {order} overflows at a live node")
-            with np.errstate(divide="ignore"):
-                logmags[blk] = np.log(np.abs(total)) + shift + pref.logmag
-            signs[blk] = np.sign(total).astype(int) * pref.sign
-    return signs, logmags
+        for chunk in _row_blocks(len(X), nodes // _SEGMENT):
+            lo, hi = _windows(rule, X[chunk], Y[chunk])
+            # by window, so that most blocks compute no node outside one
+            by_window = np.lexsort((hi, lo))
+            rows, lo, hi = chunk.start + by_window, lo[by_window], hi[by_window]
+            for b in _row_blocks(rows.size, (hi.max() - lo.min()) * _SEGMENT):
+                i = rows[b]
+                sums[:, i] = _window_sums(alpha, rule, X[i], Y[i], lo[b], hi[b], bufs)
+        total, shift, top = sums
+        redo = np.flatnonzero(np.abs(total) < math.exp(-_GUARD) * top)
+        whole = np.array([0]), np.array([nodes // _SEGMENT])
+        for i in (redo[b] for b in _row_blocks(redo.size, nodes)):
+            sums[:, i] = _window_sums(alpha, rule, X[i], Y[i], *whole, bufs)
+    pref = _riesz_prefactor(n, order)
+    with np.errstate(divide="ignore"):
+        logmags = np.log(np.abs(total)) + shift + pref.logmag
+    return np.sign(total).astype(int) * pref.sign, logmags
+
+
+def _windows(rule, X, Y) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi): row i's window is segments lo[i]..hi[i]-1 of the rule."""
+    r, inv_s, logw = rule
+    mid = slice(_SEGMENT // 2, None, _SEGMENT)
+    # probes down axis 0, so every operation runs along rows of pairs
+    g = np.zeros((r.size // _SEGMENT, X.shape[0]))
+    for xj, yj in zip(np.ascontiguousarray(X.T), np.ascontiguousarray(Y.T)):
+        u = (xj - r[mid, None] * yj) * inv_s[mid, None]
+        g += u * u
+    np.subtract(logw[mid, None], g, out=g)
+    live = g >= g.max(axis=0) - _WINDOW_CUT
+    lo = np.maximum(live.argmax(axis=0) - 1, 0)
+    hi = np.minimum(len(g) + 1 - live[::-1].argmax(axis=0), len(g))
+    return lo, hi
+
+
+def _window_sums(alpha, rule, X, Y, lo, hi, bufs):
+    """(sum, shift, largest |term|) per row over segments lo..hi-1, given per
+    row or once for all rows; computed in place in `bufs`."""
+    r, inv_s, logw = rule
+    b, n = X.shape
+    first, last = int(lo.min()), int(hi.max())
+    nodes = slice(first * _SEGMENT, last * _SEGMENT)
+    size = b * (last - first) * _SEGMENT
+    # u[j]: coordinate j at every (pair, node), contiguous along the nodes
+    u = bufs[0][: n * size].reshape(n, b, -1)
+    g = bufs[0][n * size : (n + 1) * size].reshape(b, -1)
+    dead = bufs[1][:size].reshape(b, -1)
+    np.multiply(Y.T[:, :, None], -r[nodes], out=u)
+    u += X.T[:, :, None]
+    u *= inv_s[nodes]
+    h = None
+    for j, k in enumerate(alpha):
+        if k:
+            hv = _hermite_batch(k, u[j])
+            h = hv if h is None else np.multiply(h, hv, out=h)
+    np.square(u, out=u)
+    np.subtract(logw[nodes], u.sum(axis=0, out=g), out=g)
+    # the nodes of the union outside a row's window count as dead
+    outside = (np.arange(first, last) < lo[:, None]) | (np.arange(first, last) >= hi[:, None])
+    if outside.any():
+        np.copyto(g.reshape(b, -1, _SEGMENT), -np.inf, where=outside[:, :, None])
+    shift = g.max(axis=1)
+    g -= shift[:, None]
+    # term = exp(g) * H at live nodes, g >= -NEGLIGIBLE_LOGMAG, and exactly
+    # 0 at dead ones; the clip keeps exp off its slow underflow range
+    np.less(g, -NEGLIGIBLE_LOGMAG, out=dead)
+    np.maximum(g, -NEGLIGIBLE_LOGMAG, out=g)
+    np.exp(g, out=g)
+    g *= h
+    np.copyto(g, 0.0, where=dead)
+    # segment sums added in order: the zeros outside a window change no bit
+    total = np.add.reduceat(g, np.arange(0, g.shape[1], _SEGMENT), axis=1).cumsum(axis=1)[:, -1]
+    if not np.isfinite(total).all():
+        raise ValueError(f"Hermite factor of order {alpha.order} overflows at a live node")
+    return total, shift, np.maximum(g.max(axis=1), -g.min(axis=1))

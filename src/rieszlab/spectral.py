@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,24 +33,23 @@ __all__ = [
 def total_degree_indices(n: int, max_degree: int) -> list[tuple[int, ...]]:
     """All multi-index tuples with |beta| <= max_degree.
 
-    Ordered by total degree, lexicographic within each shell, so every
-    serialization derived from this list is reproducible.
+    Ordered by total degree, then descending lexicographic within each
+    shell, so every serialization derived from this list is reproducible.
     """
+    return [tuple(b) for b in _degree_index_array(n, max_degree).tolist()]
+
+
+def _degree_index_array(n: int, max_degree: int) -> np.ndarray:
+    """total_degree_indices(n, max_degree) as an int array of shape (count, n)."""
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    out: list[tuple[int, ...]] = []
-    for shell in range(max_degree + 1):
-        out.extend(_compositions(shell, n))
-    return out
-
-
-def _compositions(total: int, n: int) -> Iterable[tuple[int, ...]]:
-    if n == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for rest in _compositions(total - head, n - 1):
-            yield (head,) + rest
+    betas = np.arange(max_degree + 1)[:, None]
+    for _ in range(n - 1):
+        # prepend every head 0..max_degree - |rest| to each rest
+        room = max_degree - betas.sum(axis=1) + 1
+        head = np.arange(room.sum()) - np.repeat(np.cumsum(room) - room, room)
+        betas = np.column_stack([head, np.repeat(betas, room, axis=0)])
+    return betas[np.lexsort((*(-betas[:, ::-1]).T, betas.sum(axis=1)))]
 
 
 @dataclass(frozen=True)
@@ -203,7 +202,7 @@ def l2_norm_bound(alpha: MultiIndex, b_max: int) -> NormBoundResult:
         raise ValueError("b_max must be non-negative")
     if n > 2 and b_max > 120:
         raise ValueError("enumeration above degree 120 is impractical for n >= 3")
-    betas = np.array(total_degree_indices(n, b_max), dtype=float)
+    betas = _degree_index_array(n, b_max).astype(float)
     denom = np.sum(betas, axis=1) + n
     ratio = np.ones(len(betas))
     for j, aj in enumerate(alpha):

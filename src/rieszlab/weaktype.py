@@ -1296,12 +1296,13 @@ def counterexample_lower_bound(
 
 
 def tube_kernel_lower_constant(
-    alpha: MultiIndex, n: int, eta: float, count: int = 256, rng=None
+    alpha: MultiIndex, eta: float, count: int = 256, rng=None
 ) -> tuple[float, int]:
     """min over sampled tube/ball pairs of
     (-1)^{|alpha|} K(x,y) / (|z|^{|alpha|-1} e^{-|x|^2+|y|^2}),
     as a log, plus the number of samples where the sign came out wrong.
     """
+    n = alpha.dim
     rng = rng or np.random.default_rng(11)
     z = np.full(n, eta)
     q, (lo, hi), w = _tube(n, eta)

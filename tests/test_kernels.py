@@ -384,3 +384,94 @@ def test_importing_the_cli_leaves_scipy_integrate_unloaded():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def _full_rule(monkeypatch, alpha, X, Y):
+    """riesz_kernel_batch with every row's window the whole rule."""
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "_WINDOW_CUT", math.inf)
+        return riesz_kernel_batch(alpha, X, Y)
+
+
+def _shell_pairs(seps, rng, n: int = 2):
+    """(x, y) with |x| from 0.2 to 4 and y at distance sep in a random
+    direction, as on a principal-value shell around x."""
+    for sep in seps:
+        x = rng.normal(size=n)
+        x *= rng.uniform(0.2, 4.0) / np.linalg.norm(x)
+        d = rng.normal(size=n)
+        yield x, x + sep * d / np.linalg.norm(d)
+
+
+def test_batch_kernel_window_matches_full_rule(monkeypatch):
+    # the window drops segments whose probe is more than e^-40 below the
+    # row's largest; the error that leaves is far below the rule's own
+    rng = np.random.default_rng(41)
+    pairs = []
+    for entries in ((1, 0), (1, 1), (2, 1), (2, 2), (3, 2)):
+        alpha = MultiIndex.of(*entries)
+        for eta in (4.0, 10.0, 20.0):
+            pairs += [(alpha, x, y) for x, y in _tube_ball_pairs(eta, 3, rng)]
+        pairs += [(alpha, x, y) for x, y in _shell_pairs(np.geomspace(1.6e-3, 1.0, 6), rng)]
+    for k in (1, 2, 3):
+        alpha = MultiIndex.of(k)
+        pairs += [(alpha, x, y) for x, y in _shell_pairs(np.geomspace(1.6e-3, 1.0, 4), rng, 1)]
+    worst = 0.0
+    for alpha, x, y in pairs:
+        s, lm = riesz_kernel_batch(alpha, x[None, :], y[None, :])
+        s_full, lm_full = _full_rule(monkeypatch, alpha, x[None, :], y[None, :])
+        assert s[0] == s_full[0]
+        scale = _log_mass(alpha, x, y)
+        err = abs(s[0] * math.exp(lm[0] - scale) - s_full[0] * math.exp(lm_full[0] - scale))
+        worst = max(worst, err)
+    assert worst <= 1e-13
+
+
+def test_batch_kernel_guard_sums_cancelled_rows_over_the_whole_rule(monkeypatch):
+    # at x = 6, y = 6.1 the n = 1, alpha (2) sum cancels to 2e-15 of its
+    # largest term, which sends the row to the whole rule; the cancelling
+    # pair of the scalar kernel's test gives the full-rule bits as well
+    alpha = MultiIndex.of(2)
+    segs = kernels._batch_rule(1, 2)[0].size // kernels._SEGMENT
+    windows = []
+    window_sums = kernels._window_sums
+
+    def spy(alpha, rule, X, Y, lo, hi, bufs):
+        windows.append((int(lo.min()), int(hi.max())))
+        return window_sums(alpha, rule, X, Y, lo, hi, bufs)
+
+    for x, y, redone in ((0.5, 0.5 + 1e-6, False), (6.0, 6.1, True)):
+        X, Y = np.array([[x]]), np.array([[y]])
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "_window_sums", spy)
+            windows.clear()
+            s, lm = riesz_kernel_batch(alpha, X, Y)
+        assert (len(windows) == 2 and windows[1] == (0, segs)) == redone
+        s_full, lm_full = _full_rule(monkeypatch, alpha, X, Y)
+        assert s[0] == s_full[0] and lm[0] == lm_full[0]
+
+
+def test_batch_kernel_rows_independent_of_block_mates():
+    # a far tube row has a narrow window and a near-diagonal row a wide
+    # one; in one block each must keep the bits it has alone
+    alpha = MultiIndex.of(2, 1)
+    (x_far, y_far), = _tube_ball_pairs(10.0, 1, np.random.default_rng(7))
+    x_near = np.array([0.7, -0.4])
+    y_near = x_near + np.array([0.6, 0.8]) * 1e-5
+    X, Y = np.array([x_far, x_near]), np.array([y_far, y_near])
+    rule = kernels._batch_rule(2, alpha.order)
+    lo, hi = kernels._windows(rule, X, Y)
+    assert hi[0] - lo[0] < hi[1] - lo[1]
+    s, lm = riesz_kernel_batch(alpha, X, Y)
+    for i in (0, 1):
+        s_one, lm_one = riesz_kernel_batch(alpha, X[i], Y[i])
+        assert s_one[0] == s[i] and lm_one[0] == lm[i]
+
+
+def test_batch_rule_is_sorted_by_r():
+    for n, order in ((1, 1), (1, 4), (2, 3), (3, 5)):
+        r, inv_s, logw = kernels._batch_rule(n, order)
+        assert r.size == inv_s.size == logw.size
+        assert r.size % kernels._SEGMENT == 0
+        assert np.all(np.diff(r) >= 0.0) and 0.0 < r[0] and r[-1] <= 1.0
+        assert np.all(np.isfinite(inv_s)) and np.all(np.isfinite(logw))

@@ -707,11 +707,10 @@ class TestTubeTransform:
             assert abs(math.expm1(math.log(abs(ref)) - log_meas - logmags[idx])) <= 1e-9
 
     def test_kernel_sign_and_size_on_tube(self):
-        log_ratio, violations = wt.tube_kernel_lower_constant(
-            MultiIndex.of(2, 1), 2, 4.0, count=128
-        )
-        assert violations == 0
-        assert math.isfinite(log_ratio)
+        for alpha in (MultiIndex.of(2, 1), MultiIndex.of(2, 1, 0)):
+            log_ratio, violations = wt.tube_kernel_lower_constant(alpha, 4.0, count=128)
+            assert violations == 0
+            assert math.isfinite(log_ratio)
 
     def test_single_eta_reports_without_fit(self):
         cfg = wt.CounterexampleConfig(
