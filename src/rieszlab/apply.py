@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from rieszlab.geometry import MultiIndex
-from rieszlab.kernels import _row_blocks, riesz_kernel_batch
+from rieszlab.kernels import _riesz_batch, _row_blocks, riesz_kernel_batch
 from rieszlab.logscaled import LogScaled, log_sum, signed_logsumexp
 from rieszlab.quadrature import NonConvergenceError, gauss_legendre
 
@@ -161,23 +162,25 @@ def _kernel_sums_log(
     logw: np.ndarray,
     log_f: float | np.ndarray,
     f_sign: float | np.ndarray,
+    lower: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """sum_j w_j * K(x, y_j) * f(y_j) for every row x of X, in the log domain.
 
     The nodes y_j (shape (mb, n)) and their log weights are shared by all
     rows; f(y_j) comes as log|f| and sign, per node or one value for all.
-    Rows go to the kernel in chunks of at most _SUM_PAIRS (x, y_j) pairs
-    (at least one row), and each row's sum is its own, so the result does
-    not depend on the chunking.  Returns (signs, logmags) of shape (m,).
+    K is riesz_kernel_batch, or with lower = j the boundary form of
+    kernels._riesz_batch.  Rows go to the kernel in chunks of at most
+    _SUM_PAIRS (x, y_j) pairs (at least one row), and each row's sum is its
+    own, so the result does not depend on the chunking.  Returns (signs,
+    logmags) of shape (m,).
     """
     m, mb = X.shape[0], nodes.shape[0]
+    kernel = riesz_kernel_batch if lower is None else partial(_riesz_batch, lower=lower)
     signs = np.empty(m, dtype=int)
     logmags = np.empty(m)
     for blk in _row_blocks(m, mb, max(1, _SUM_PAIRS // mb)):
         k = blk.stop - blk.start
-        k_sign, k_log = riesz_kernel_batch(
-            alpha, np.repeat(X[blk], mb, axis=0), np.tile(nodes, (k, 1))
-        )
+        k_sign, k_log = kernel(alpha, np.repeat(X[blk], mb, axis=0), np.tile(nodes, (k, 1)))
         terms = k_log.reshape(k, mb) + logw + log_f
         signs[blk], logmags[blk] = signed_logsumexp(
             terms, k_sign.reshape(k, mb) * f_sign, axis=1

@@ -52,8 +52,6 @@ _CONFIG_KEYS = {
     "tube_perp_half": float,
     "grid_axis": int,
     "grid_perp": int,
-    "ball_radial": int,
-    "ball_angular": int,
 }
 
 
@@ -165,14 +163,7 @@ def cmd_counterexample(args) -> int:
     etas = tuple(float(p) for p in args.etas.split(","))
     overrides = {
         key: cfg_values[key]
-        for key in (
-            "ball_radius",
-            "tube_perp_half",
-            "grid_axis",
-            "grid_perp",
-            "ball_radial",
-            "ball_angular",
-        )
+        for key in ("ball_radius", "tube_perp_half", "grid_axis", "grid_perp")
         if key in cfg_values
     }
     cfg = CounterexampleConfig(alpha=alpha, etas=etas, n=alpha.dim, **overrides)

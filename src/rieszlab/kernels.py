@@ -15,7 +15,9 @@ e^-40 of a pair's largest probe, plus one on each side, shifted by the
 largest g there; terms more than 700 below the shift are exactly 0 (so exp
 never sees its slow underflow range).  Segment sums are added in order, so
 a value reads only its own window; one that cancels below e^-20 of its
-largest term is summed again over the whole rule.
+largest term is summed again over the whole rule.  The same body gives the
+boundary form of a ball integral (`_riesz_batch` with lower = j): Hermite
+index alpha - e_j on the rule with weights times sqrt(1 - r^2)/r.
 """
 
 from __future__ import annotations
@@ -220,9 +222,10 @@ def _row_blocks(m: int, nodes: int, rows: int | None = None) -> list[slice]:
 
 
 @lru_cache(maxsize=32)
-def _batch_rule(n: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _batch_rule(n: int, order: int, lowered: bool = False):
     """Composite nodes (r, 1/sqrt(1-r^2), log weight incl. all r-factors),
-    by increasing r."""
+    three arrays by increasing r; `lowered` multiplies every weight by
+    sqrt(1-r^2)/r, the r-factor of the boundary form."""
     t, w_t = gauss_legendre(_T_EDGES, _BATCH_ORDER)
     v, w_v = gauss_legendre(_V_EDGES, _BATCH_ORDER)
     # t = -log r toward r = 0, v = -log(1 - r) toward r = 1
@@ -242,17 +245,16 @@ def _batch_rule(n: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         - v
     )
     # r falls along the t nodes and rises along the v nodes
+    r = np.concatenate((r_t[::-1], r_v))
     one_m_r2 = np.concatenate((one_m_r2_t[::-1], one_m_r2_v))
-    return (
-        np.concatenate((r_t[::-1], r_v)),
-        1.0 / np.sqrt(one_m_r2),
-        np.concatenate(((log_t + np.log(w_t))[::-1], log_v + np.log(w_v))),
-    )
+    logw = np.concatenate(((log_t + np.log(w_t))[::-1], log_v + np.log(w_v)))
+    if lowered:
+        # from the rule's own 1 - r^2: log1p(-r^2) is -inf where r rounds to 1
+        logw += 0.5 * np.log(one_m_r2) - np.log(r)
+    return r, 1.0 / np.sqrt(one_m_r2), logw
 
 
 def _hermite_batch(k: int, u: np.ndarray) -> np.ndarray:
-    if k == 0:
-        return np.ones_like(u)
     if k == 1:
         return 2.0 * u
     if k == 2:
@@ -299,8 +301,18 @@ def riesz_kernel_batch(
     nodes and matches an mpmath reference to 1e-9.  Rows sorted by window
     go in blocks of about 2^15 pair-nodes of their windows' union, so that
     a block's temporaries stay in a core's L2 cache; no value depends on a
-    row's block or block-mates.
+    row's block or block-mates.  The boundary form (`_riesz_batch`) runs
+    through the same body.
     """
+    return _riesz_batch(alpha, X, Y, None)
+
+
+def _riesz_batch(alpha, X, Y, lower: int | None):
+    """riesz_kernel_batch, or with lower = j its boundary form: prefactor
+    c_alpha, Hermite index alpha - e_j, rule weights times s/r with
+    s = sqrt(1 - r^2).  As H_alpha(u) e^{-|u|^2} is s/r times the y_j-
+    derivative of H_{alpha-e_j}(u) e^{-|u|^2}, int_B K_alpha(x, y) dy is
+    the integral over the sphere dB of nu_j times this kernel."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape != Y.shape or X.shape[1] != alpha.dim:
@@ -310,9 +322,12 @@ def riesz_kernel_batch(
     if (X == Y).all(axis=1).any():
         raise ValueError("kernel undefined on the diagonal")
     n, order = X.shape[1], alpha.order
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    rule = _batch_rule(n, order)
+    if order < 1 or (lower is not None and alpha.entries[lower] < 1):
+        raise ValueError("order must be at least 1, and alpha_j at least 1 to lower j")
+    hermite = list(alpha)
+    if lower is not None:
+        hermite[lower] -= 1
+    rule = _batch_rule(n, order, lower is not None)
     nodes = rule[0].size
     cap = min(len(X) * nodes, max(_BLOCK_PAIR_NODES, nodes))
     bufs = (np.empty((n + 1) * cap), np.empty(cap, dtype=bool))
@@ -327,12 +342,12 @@ def riesz_kernel_batch(
             rows, lo, hi = chunk.start + by_window, lo[by_window], hi[by_window]
             for b in _row_blocks(rows.size, (hi.max() - lo.min()) * _SEGMENT):
                 i = rows[b]
-                sums[:, i] = _window_sums(alpha, rule, X[i], Y[i], lo[b], hi[b], bufs)
+                sums[:, i] = _window_sums(hermite, rule, X[i], Y[i], lo[b], hi[b], bufs)
         total, shift, top = sums
         redo = np.flatnonzero(np.abs(total) < math.exp(-_GUARD) * top)
         whole = np.array([0]), np.array([nodes // _SEGMENT])
         for i in (redo[b] for b in _row_blocks(redo.size, nodes)):
-            sums[:, i] = _window_sums(alpha, rule, X[i], Y[i], *whole, bufs)
+            sums[:, i] = _window_sums(hermite, rule, X[i], Y[i], *whole, bufs)
     pref = _riesz_prefactor(n, order)
     with np.errstate(divide="ignore"):
         logmags = np.log(np.abs(total)) + shift + pref.logmag
@@ -355,9 +370,10 @@ def _windows(rule, X, Y) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _window_sums(alpha, rule, X, Y, lo, hi, bufs):
+def _window_sums(hermite, rule, X, Y, lo, hi, bufs):
     """(sum, shift, largest |term|) per row over segments lo..hi-1, given per
-    row or once for all rows; computed in place in `bufs`."""
+    row or once for all rows, of the terms with Hermite index `hermite` (a
+    product of 1 at order 0); computed in place in `bufs`."""
     r, inv_s, logw = rule
     b, n = X.shape
     first, last = int(lo.min()), int(hi.max())
@@ -371,7 +387,7 @@ def _window_sums(alpha, rule, X, Y, lo, hi, bufs):
     u += X.T[:, :, None]
     u *= inv_s[nodes]
     h = None
-    for j, k in enumerate(alpha):
+    for j, k in enumerate(hermite):
         if k:
             hv = _hermite_batch(k, u[j])
             h = hv if h is None else np.multiply(h, hv, out=h)
@@ -388,10 +404,11 @@ def _window_sums(alpha, rule, X, Y, lo, hi, bufs):
     np.less(g, -NEGLIGIBLE_LOGMAG, out=dead)
     np.maximum(g, -NEGLIGIBLE_LOGMAG, out=g)
     np.exp(g, out=g)
-    g *= h
+    if h is not None:
+        g *= h
     np.copyto(g, 0.0, where=dead)
     # segment sums added in order: the zeros outside a window change no bit
     total = np.add.reduceat(g, np.arange(0, g.shape[1], _SEGMENT), axis=1).cumsum(axis=1)[:, -1]
     if not np.isfinite(total).all():
-        raise ValueError(f"Hermite factor of order {alpha.order} overflows at a live node")
+        raise ValueError(f"Hermite factor of order {sum(hermite)} overflows at a live node")
     return total, shift, np.maximum(g.max(axis=1), -g.min(axis=1))

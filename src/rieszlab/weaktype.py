@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import special
 
-from rieszlab.apply import _finite_positive, _kernel_sums_log, _polar_nodes
+from rieszlab.apply import _finite_positive, _kernel_sums_log
 from rieszlab.geometry import MultiIndex
 from rieszlab.kernels import _BLOCK_PAIR_NODES, _row_blocks, riesz_kernel_batch
 from rieszlab.logscaled import LogScaled, signed_logsumexp
@@ -1071,6 +1071,12 @@ def tube_axis_basis(n: int) -> np.ndarray:
     return q * np.sign(np.diag(r))[None, :]
 
 
+# circle rule of the ball: first count, log|Tf| change that stops doubling, cap
+_BALL_NODES_START = 64
+_BALL_GAP = 1e-5
+_BALL_NODES_MAX = 2**12
+
+
 def _tube(n: int, eta: float, perp_half: float = 1.0):
     """The displaced tube of the counterexample, for z = (eta, ..., eta).
 
@@ -1092,7 +1098,9 @@ class CounterexampleConfig:
     grid_axis is the axis cell count at the smallest eta; larger etas get
     proportionally more cells so the cell length stays constant across the
     sweep (the tube length grows linearly with eta).  Every grid count must
-    be at least 1.
+    be at least 1.  ball_radial and ball_angular are validated but nothing
+    reads them: the ball's Tf is a boundary integral whose node count
+    follows from its own error (`_tube_tf_logs`).
     """
 
     alpha: MultiIndex
@@ -1182,26 +1190,52 @@ def _tube_grid(cfg: CounterexampleConfig, eta: float):
 
 
 def _tube_tf_logs(cfg: CounterexampleConfig, eta: float):
-    """Sign and log of Tf over the tube grid, plus effective cell volumes.
+    """Sign and log of Tf over the tube grid, the effective cell volumes,
+    and {"ball_nodes", "ball_quadrature_error"} of the ball rule.
 
-    f is the ball indicator at the diagonal point normalized to unit
-    measure-norm, and Tf(x) = sum_j w_j K(x, y_j) f with the tube disjoint
-    from the ball, so no excision is involved; this is the same integral
-    apply_riesz computes there, summed by the same _kernel_sums_log over
-    the shared ball nodes.
+    f is the normalized ball indicator, and with j the first coordinate
+    where alpha_j >= 1, Tf is the integral over the ball's sphere of f nu_j
+    times the boundary kernel (kernels._riesz_batch, lower = j).  n = 1: the
+    two end points, exact.  n = 2: the equispaced circle rule T_M, from
+    M = 64, T_M being the mean of T_{M/2} and the rule on its midpoints;
+    M doubles while some |log|T_M| - log|T_{M/2}|| exceeds _BALL_GAP, and
+    that last gap is the error.
     """
-    z = np.full(cfg.n, eta)
     pts, log_cell = _tube_grid(cfg, eta)
-    ball_pts, ball_logw = _polar_nodes(
-        z, *gauss_legendre([0.0, cfg.ball_radius], cfg.ball_radial), cfg.ball_angular
-    )
-    log_f = -gamma_inv_ball_log(cfg.n, z, cfg.ball_radius).logmag
-    signs, logmags = _kernel_sums_log(cfg.alpha, pts, ball_pts, ball_logw, log_f, 1)
-    return pts, signs, logmags, log_cell
+    log_f = -gamma_inv_ball_log(cfg.n, np.full(cfg.n, eta), cfg.ball_radius).logmag
+    j = next(i for i, k in enumerate(cfg.alpha) if k)
+
+    def tf(normals, log_w):
+        # nu_j goes in as f's sign and log; nodes where it is 0 add nothing
+        normals = normals[normals[:, j] != 0.0]
+        nu, nodes = normals[:, j], eta + cfg.ball_radius * normals
+        log_fw = log_f + log_w + np.log(np.abs(nu))
+        return _kernel_sums_log(cfg.alpha, pts, nodes, np.zeros(nu.size), log_fw, np.sign(nu), j)
+
+    def circle(count: int, shift: float):
+        # cosdg and sindg are exactly 0 at quarter turns
+        degrees = 360.0 * (np.arange(count) + shift) / count
+        dirs = np.stack([special.cosdg(degrees), special.sindg(degrees)], axis=1)
+        return dirs, math.log(2.0 * math.pi * cfg.ball_radius / count)
+
+    if cfg.n == 1:
+        count, gap, (signs, logmags) = 2, 0.0, tf(np.array([[-1.0], [1.0]]), 0.0)
+    else:
+        count, gap = _BALL_NODES_START // 2, math.inf
+        signs, logmags = tf(*circle(count, 0.0))
+    while gap > _BALL_GAP and count < _BALL_NODES_MAX:
+        mid_signs, mid_logs = tf(*circle(count, 0.5))
+        new_signs, new_logs = signed_logsumexp(
+            np.stack([logmags, mid_logs], axis=1), np.stack([signs, mid_signs], axis=1)
+        )
+        new_logs -= math.log(2.0)
+        gap = float(np.max(np.where(new_signs == signs, np.abs(new_logs - logmags), np.inf)))
+        signs, logmags, count = new_signs, new_logs, 2 * count
+    return pts, signs, logmags, log_cell, {"ball_nodes": count, "ball_quadrature_error": gap}
 
 
 def _eta_report(cfg: CounterexampleConfig, eta: float) -> LevelSetReport:
-    pts, _, logmags, log_cell = _tube_tf_logs(cfg, eta)
+    pts, _, logmags, log_cell, ball = _tube_tf_logs(cfg, eta)
     # the mass rule of _tube_grid: cell volume * pi^{n/2} * e^{|point|^2}
     log_masses = log_cell + 0.5 * cfg.n * _LOG_PI + np.sum(pts * pts, axis=1)
     return level_set_report(
@@ -1212,6 +1246,7 @@ def _eta_report(cfg: CounterexampleConfig, eta: float) -> LevelSetReport:
             "grid_axis": cfg.grid_axis,
             "grid_perp": cfg.grid_perp,
             "truncation": "tube",
+            **ball,
         },
     )
 
@@ -1385,6 +1420,10 @@ def write_counterexample_report(
         "n": result.config.n,
         "etas": list(result.etas),
         "quasi_norms": [float(v) for v in result.quasi_norms],
+        "ball_nodes": [result.reports[e].metadata["ball_nodes"] for e in result.etas],
+        "ball_quadrature_error": [
+            result.reports[e].metadata["ball_quadrature_error"] for e in result.etas
+        ],
         "slope": result.slope,
         "residual": result.residual,
         "expectation": result.expectation,
@@ -1394,8 +1433,6 @@ def write_counterexample_report(
             "tube_perp_half": result.config.tube_perp_half,
             "grid_axis": result.config.grid_axis,
             "grid_perp": result.config.grid_perp,
-            "ball_radial": result.config.ball_radial,
-            "ball_angular": result.config.ball_angular,
         },
     }
     with open(json_path, "w") as fh:

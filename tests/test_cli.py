@@ -173,8 +173,6 @@ class TestCounterexampleCommand:
         "# coarse settings for fast runs\n"
         "grid_axis = 12\n"
         "grid_perp = 4\n"
-        "ball_radial = 8\n"
-        "ball_angular = 16\n"
     )
 
     def test_single_eta_reports_missing_fit(self, capsys, tmp_path):
@@ -247,7 +245,23 @@ class TestCounterexampleCommand:
         )
         summary = json.loads((tmp_path / "run.json").read_text())
         assert summary["config"]["grid_axis"] == 12
-        assert summary["config"]["ball_angular"] == 16
+        assert summary["config"]["grid_perp"] == 4
+        assert "ball_angular" not in summary["config"]
+        # the ball rule's node count and error, per eta
+        assert summary["ball_nodes"] == [64]
+        assert 0.0 < summary["ball_quadrature_error"][0] <= 1e-5
+
+    def test_ball_rule_key_refused(self, capsys, tmp_path):
+        # the ball's node count follows from its error, so the old volume
+        # rule's keys are unknown
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("ball_angular = 16\n")
+        code, out, err = run(
+            capsys, "--config", str(cfg), "counterexample", "--alpha", "2,1", "--etas", "4"
+        )
+        assert code == 2
+        assert out == ""
+        assert "unknown config key" in err
 
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -266,7 +280,7 @@ class TestCounterexampleCommand:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("key", ["ball_angular", "grid_axis"])
+    @pytest.mark.parametrize("key", ["grid_perp", "grid_axis"])
     def test_zero_grid_count_in_config_file(self, capsys, tmp_path, key):
         # a non-positive grid count is rejected with a message naming the
         # key, not with an error from deep inside the quadrature

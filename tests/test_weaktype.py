@@ -13,8 +13,10 @@ from scipy.optimize import brentq
 
 import rieszlab.weaktype as wt
 from rieszlab import MultiIndex
-from rieszlab.apply import apply_riesz, ball_indicator
+from rieszlab.apply import _kernel_sums_log, _polar_nodes, apply_riesz, ball_indicator
+from rieszlab.kernels import _riesz_batch
 from rieszlab.logscaled import signed_logsumexp
+from rieszlab.quadrature import gauss_legendre
 from rieszlab.regions import sample_global_pairs, sample_local_pairs
 from test_regions import in_N
 
@@ -688,8 +690,8 @@ class TestTubeGeometry:
 class TestTubeTransform:
     def test_matches_apply_global_path(self):
         # the tube is disjoint from the ball, so the whole integral is global:
-        # the tube pipeline vectorizes what apply_riesz computes there with
-        # its own quadrature rule, and both must land on the same value
+        # the tube's boundary integral and apply_riesz's volume rule over
+        # the ball must land on the same value
         cfg = wt.CounterexampleConfig(
             alpha=MultiIndex.of(2, 1),
             etas=(4.0,),
@@ -697,7 +699,7 @@ class TestTubeTransform:
             grid_axis=12,
             grid_perp=4,
         )
-        pts, signs, logmags, _ = wt._tube_tf_logs(cfg, 4.0)
+        pts, signs, logmags, *_ = wt._tube_tf_logs(cfg, 4.0)
         z = np.full(2, 4.0)
         f = ball_indicator(2, z, cfg.ball_radius)
         log_meas = wt.gamma_inv_ball_log(2, z, cfg.ball_radius).logmag
@@ -781,6 +783,65 @@ class TestTubeTransform:
             assert a.log_quasi_norm == b.log_quasi_norm
             assert a.argmax_log_threshold == b.argmax_log_threshold
             assert a.metadata == b.metadata
+
+
+class TestBoundaryForm:
+    # Tf of the ball indicator summed over the sphere with the lowered
+    # kernel, against volume rules over the ball with riesz_kernel_batch
+
+    @staticmethod
+    def volume_tf(cfg, eta, pts, nodes, logw):
+        z = np.full(cfg.n, eta)
+        log_f = -wt.gamma_inv_ball_log(cfg.n, z, cfg.ball_radius).logmag
+        return _kernel_sums_log(cfg.alpha, pts, nodes, logw, log_f, 1)
+
+    @pytest.mark.parametrize("alpha", [(1, 0), (1, 1), (2, 1), (2, 2)])
+    @pytest.mark.parametrize("eta", [4.0, 10.0])
+    def test_circle_matches_volume_rule(self, alpha, eta):
+        # every 16th cell of the default grid, against the 20 x 48 polar rule
+        cfg = wt.CounterexampleConfig(alpha=MultiIndex.of(*alpha), etas=(4.0, eta), n=2)
+        pts, signs, logmags, _, ball = wt._tube_tf_logs(cfg, eta)
+        radii, w_r = gauss_legendre([0.0, cfg.ball_radius], 20)
+        nodes, logw = _polar_nodes(np.full(2, eta), radii, w_r, 48)
+        want_signs, want_logs = self.volume_tf(cfg, eta, pts[::16], nodes, logw)
+        assert np.array_equal(signs[::16], want_signs)
+        assert np.max(np.abs(logmags[::16] - want_logs)) <= 1e-10
+        assert ball["ball_nodes"] == 64
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    @pytest.mark.parametrize("eta", [6.0, 20.0])
+    def test_end_points_match_volume_rule(self, order, eta):
+        # n = 1: the two end points against 8 Gauss-Legendre panels of 32
+        cfg = wt.CounterexampleConfig(alpha=MultiIndex.of(order), etas=(eta,), n=1)
+        pts, signs, logmags, _, ball = wt._tube_tf_logs(cfg, eta)
+        y, w = gauss_legendre(np.linspace(eta - 1.0, eta + 1.0, 9), 32)
+        want_signs, want_logs = self.volume_tf(cfg, eta, pts, y[:, None], np.log(w))
+        assert np.array_equal(signs, want_signs)
+        assert np.max(np.abs(logmags - want_logs)) <= 1e-10
+        assert ball == {"ball_nodes": 2, "ball_quadrature_error": 0.0}
+
+    def test_reported_error_bounds_the_true_error(self, monkeypatch):
+        # 64 x 4 cells per eta; the reference is the 256-node circle rule
+        alpha = MultiIndex.of(2, 1)
+        for eta in (4.0, 10.0, 20.0, 40.0):
+            cfg = wt.CounterexampleConfig(
+                alpha=alpha, etas=(eta,), n=2, grid_axis=64, grid_perp=4
+            )
+            _, signs, logmags, _, ball = wt._tube_tf_logs(cfg, eta)
+            with monkeypatch.context() as m:
+                m.setattr(wt, "_BALL_NODES_START", 256)
+                _, ref_signs, ref_logs, _, ref_ball = wt._tube_tf_logs(cfg, eta)
+            assert ref_ball["ball_nodes"] == 256
+            assert np.array_equal(signs, ref_signs)
+            true_error = float(np.max(np.abs(logmags - ref_logs)))
+            assert true_error <= ball["ball_quadrature_error"] <= wt._BALL_GAP
+            if eta <= 10.0:
+                assert ball["ball_nodes"] == 64
+
+    def test_lowering_needs_a_derivative(self):
+        X, Y = np.array([[4.0, 5.0]]), np.array([[1.0, 1.0]])
+        with pytest.raises(ValueError, match="alpha_j"):
+            _riesz_batch(MultiIndex.of(2, 0), X, Y, 1)
 
 
 class TestSlopeFit:

@@ -1,7 +1,8 @@
 """Alternating parent/change runs of the benchmark, written as BENCH_<n>.json.
 
-    python3 tools/bench_pairs.py --out BENCH_15.json --pairs 10 \
-        --workload growth --workload pv [--parent HEAD] [--seed 1] [--seconds 25]
+    python3 tools/bench_pairs.py --out BENCH_16.json --pairs 10 \
+        --workload growth --workload pv [--parent HEAD] [--seed 1] [--seconds 25] \
+        [--tube-tf] [--outputs] [--tier1]
 
 The change is this checkout, working tree included; the parent is the commit
 `--parent` (default HEAD), exported with `git archive` to a temporary
@@ -13,7 +14,15 @@ once on each side per pair, the parent first in even pairs and the change
 first in odd ones, one run at a time, and waits for each run to end.  The
 file holds the machine, the parent's sha, the command, every run, and per
 side the median and quartiles (`statistics.quantiles`, inclusive) of each
-end-to-end metric.
+end-to-end metric.  Each side also gets, on request, and with the same
+alternation of sides:
+
+  --tube-tf  seconds of one default-grid weaktype._tube_tf_logs call for
+             alpha (2,1) at eta 4 and 10, one fresh process per call;
+  --outputs  sha256 of the `pv` round's 44 values (float64 bytes) and of a
+             `verify` round's CLI text (UTF-8) at the seed;
+  --tier1    the tier-1 test run (`pytest -q -rA`): its summary line and the
+             seconds that acceptance check 6 (growth-dichotomy) reports.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import shutil
 import statistics
 import subprocess
@@ -88,6 +98,75 @@ def bench_workload(roots: dict, workload: str, pairs: int, seed: int, seconds: f
     return out
 
 
+TUBE_TF = """
+import sys, time
+sys.path.insert(0, "src")
+import rieszlab.weaktype as wt
+from rieszlab.geometry import MultiIndex
+cfg = wt.CounterexampleConfig(alpha=MultiIndex.of(2, 1), etas=(4.0, 6.0, 8.0, 10.0), n=2)
+t0 = time.perf_counter()
+wt._tube_tf_logs(cfg, float(sys.argv[1]))
+print(time.perf_counter() - t0)
+"""
+
+OUTPUTS = """
+import hashlib, json, sys
+import numpy as np
+sys.path[:0] = ["src", "bench"]
+import workloads as W
+seed = int(sys.argv[1])
+pv = np.concatenate(W.pv_run(W.pv_inputs(seed, False), 1)).astype(np.float64)
+text = W.verify_run(W.verify_inputs(seed, False), 1)["text"]
+print(json.dumps({
+    "pv_values": int(pv.size),
+    "pv_values_sha256": hashlib.sha256(pv.tobytes()).hexdigest(),
+    "verify_text_sha256": hashlib.sha256(text.encode()).hexdigest(),
+}))
+"""
+
+_CHECK6 = re.compile(r"\[acceptance\] growth-dichotomy \(.* (\d+)s\)")
+
+
+def run_script(root: str, script: str, *args: str) -> str:
+    done = subprocess.run(
+        [sys.executable, "-c", script, *args], cwd=root, capture_output=True, text=True
+    )
+    if done.returncode != 0:
+        raise RuntimeError(f"script in {root} exited {done.returncode}: {done.stderr}")
+    return done.stdout.strip().splitlines()[-1]
+
+
+def tier1(root: str) -> dict:
+    cmd = [sys.executable, "-m", "pytest", "-q", "-rA", "--continue-on-collection-errors"]
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+    done = subprocess.run(cmd, cwd=root, capture_output=True, text=True, env=env)
+    lines = done.stdout.strip().splitlines()
+    check6 = [m.group(1) for m in map(_CHECK6.search, lines) if m]
+    return {"summary": lines[-1], "check6_s": int(check6[0]) if check6 else None}
+
+
+def side_extras(roots: dict, seed: int, tube_tf: bool, outputs: bool, tier: bool) -> dict:
+    """The requested per-side figures; the parent goes first, then the
+    change, and timed figures get a second round in the other order."""
+    out = {}
+    if tube_tf:
+        out["tube_tf_default_grid_s"] = {
+            f"eta{eta}": {side: [] for side in SIDES} for eta in (4, 10)
+        }
+        for sides in (SIDES, SIDES[::-1]):
+            for eta in (4, 10):
+                for side in sides:
+                    t = float(run_script(roots[side], TUBE_TF, str(eta)))
+                    out["tube_tf_default_grid_s"][f"eta{eta}"][side].append(round(t, 3))
+    if outputs:
+        out["outputs"] = {
+            side: json.loads(run_script(roots[side], OUTPUTS, str(seed))) for side in SIDES
+        }
+    if tier:
+        out["tier1"] = {side: tier1(roots[side]) for side in SIDES}
+    return out
+
+
 def machine() -> dict:
     import numpy
     import scipy
@@ -110,6 +189,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--what", default="", help="one line on what the change is")
+    parser.add_argument("--tube-tf", action="store_true", help="time _tube_tf_logs per side")
+    parser.add_argument("--outputs", action="store_true", help="hash pv and verify outputs")
+    parser.add_argument("--tier1", action="store_true", help="run tier-1 per side")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -128,6 +210,7 @@ def main(argv=None) -> int:
                 w: bench_workload(roots, w, args.pairs, args.seed, args.seconds)
                 for w in args.workload
             },
+            **side_extras(roots, args.seed, args.tube_tf, args.outputs, args.tier1),
         }
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
