@@ -28,7 +28,6 @@ from rieszlab.apply import (
 from rieszlab.weaktype import (
     BOUND_REGISTRY,
     CounterexampleConfig,
-    LemmaKernelSpec,
     LevelSetReport,
     counterexample_lower_bound,
     czlocal_supremum,
@@ -63,7 +62,6 @@ __all__ = [
     "ball_indicator",
     "BOUND_REGISTRY",
     "CounterexampleConfig",
-    "LemmaKernelSpec",
     "LevelSetReport",
     "counterexample_lower_bound",
     "czlocal_supremum",

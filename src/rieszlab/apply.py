@@ -102,21 +102,20 @@ def ball_indicator(n: int, center, radius: float) -> GridFunction:
     )
 
 
+# excision ladder: radii _PV_EPSILON / 2^i for i = 0.._PV_LEVELS-1
+_PV_EPSILON = 0.0125
+_PV_LEVELS = 4
+
+
 @dataclass(frozen=True)
 class PVConfig:
-    """Excision ladder: radii epsilon / 2^i for i = 0..levels-1, then an
-    extrapolation to radius zero; rel_tol bounds the disagreement between
-    the fit on all levels and the fit without the coarsest one."""
+    """Tolerance of the excision ladder's extrapolation to radius zero:
+    rel_tol bounds the disagreement between the fit on all levels and the
+    fit without the coarsest one."""
 
-    epsilon: float = 0.0125
-    levels: int = 4
     rel_tol: float = 1e-3
 
     def __post_init__(self):
-        if not _finite_positive(self.epsilon):
-            raise ValueError("epsilon must be positive and finite")
-        if not isinstance(self.levels, (int, np.integer)) or self.levels < 2:
-            raise ValueError("need an integer of at least two levels to extrapolate")
         if not _finite_positive(self.rel_tol):
             raise ValueError("rel_tol must be positive and finite")
 
@@ -299,10 +298,10 @@ def _apply_log(alpha: MultiIndex, f: GridFunction, x, pv: PVConfig | None) -> Lo
     rho = float(f.support_radius)
 
     clearance = dist - rho
-    if clearance >= max(4.0 * pv.epsilon, 0.05 * rho):
+    if clearance >= max(4.0 * _PV_EPSILON, 0.05 * rho):
         return _support_sum_log(alpha, f, x)
 
-    if _is_all_even(alpha) and dist <= rho + 2.0 * pv.epsilon:
+    if _is_all_even(alpha) and dist <= rho + 2.0 * _PV_EPSILON:
         raise ValueError(
             "order-even-in-every-component transforms carry a diagonal "
             "correction on supp(f); evaluate off the support or use the "
@@ -310,9 +309,9 @@ def _apply_log(alpha: MultiIndex, f: GridFunction, x, pv: PVConfig | None) -> Lo
         )
 
     radius_cover = dist + rho
-    eps = [pv.epsilon / 2.0**i for i in range(pv.levels)]
+    eps = [_PV_EPSILON / 2.0**i for i in range(_PV_LEVELS)]
     ladder = [_shell_sum_log(alpha, f, x, eps[0], radius_cover)]
-    for i in range(1, pv.levels):
+    for i in range(1, _PV_LEVELS):
         shell = _shell_sum_log(alpha, f, x, eps[i], eps[i - 1])
         ladder.append(log_sum([ladder[-1], shell]))
     value, _ = _extrapolate_ladder(ladder, eps, pv.rel_tol)

@@ -39,7 +39,6 @@ __all__ = [
     "gamma_inv_ball_log",
     "LevelSetReport",
     "level_set_report",
-    "LemmaKernelSpec",
     "lemma_kernel_batch",
     "near_diagonal_profile_integral",
     "window_gaussian_integral_log",
@@ -57,7 +56,6 @@ __all__ = [
     "counterexample_expectation",
     "counterexample_lower_bound",
     "tube_axis_basis",
-    "tube_kernel_lower_constant",
     "SlopeFit",
     "slope_fit",
     "write_counterexample_report",
@@ -84,21 +82,14 @@ def _log_sphere_factor(n: int, t: np.ndarray) -> np.ndarray:
     """log of the surface integral of e^{2 r |c| cos(angle)} over directions.
 
     t = 2 r |c| >= 0.  n=1 sums the two endpoints, n=2 integrates the circle
-    (a Bessel I0 profile), n=3 the sphere (sinh(t)/t profile).
+    (a Bessel I0 profile).
     """
     t = np.asarray(t, dtype=float)
     if n == 1:
         return t + np.log1p(np.exp(-2.0 * t))
     if n == 2:
         return t + np.log(special.i0e(t)) + math.log(2.0 * math.pi)
-    if n == 3:
-        small = t < 1e-12
-        safe = np.where(small, 1.0, t)
-        body = np.where(
-            small, 0.0, np.log(-np.expm1(-2.0 * safe)) - np.log(2.0 * safe)
-        )
-        return t + body + math.log(4.0 * math.pi)
-    raise NotImplementedError("sphere factor implemented for n <= 3")
+    raise NotImplementedError("sphere factor implemented for n <= 2")
 
 
 def gamma_inv_ball_log(n: int, center, radius: float) -> LogScaled:
@@ -192,6 +183,16 @@ class LevelSetReport:
         return _exp_safe(self.log_quasi_norm)
 
 
+def _log_measures_above(log_tf: np.ndarray, log_masses: np.ndarray, log_s) -> np.ndarray:
+    """log measure{|Tf| > s} at each log threshold log_s, where cell k has
+    log|Tf| = log_tf[k] and log measure log_masses[k]."""
+    order = np.argsort(log_tf)
+    # suffix[k] = log-sum of masses with |Tf| ranked k..end
+    suffix = np.full(log_tf.size + 1, -np.inf)
+    suffix[:-1] = np.logaddexp.accumulate(log_masses[order][::-1])[::-1]
+    return suffix[np.searchsorted(log_tf[order], log_s, side="right")]
+
+
 def level_set_report(
     log_tf: np.ndarray, log_masses: np.ndarray, metadata: dict | None = None
 ) -> LevelSetReport:
@@ -217,14 +218,7 @@ def level_set_report(
             metadata=meta,
         )
     log_s = np.linspace(top - 6.0 * math.log(10.0), top, 64)
-    order = np.argsort(log_tf)
-    sorted_tf = log_tf[order]
-    sorted_mass = log_masses[order]
-    # suffix[k] = log-sum of masses with |Tf| ranked k..end
-    suffix = np.full(sorted_mass.size + 1, -np.inf)
-    suffix[:-1] = np.logaddexp.accumulate(sorted_mass[::-1])[::-1]
-    pos = np.searchsorted(sorted_tf, log_s, side="right")
-    log_measures = suffix[pos]
+    log_measures = _log_measures_above(log_tf, log_masses, log_s)
     log_pairs = log_s + log_measures
     best = int(np.argmax(log_pairs))
     return LevelSetReport(
@@ -238,46 +232,6 @@ def level_set_report(
 
 # --------------------------------------------------------------------------
 # comparison-kernel catalog
-
-
-_KERNEL_IDS = ("L42", "L44")
-
-
-@dataclass(frozen=True)
-class LemmaKernelSpec:
-    """One comparison kernel from the boundedness analysis.
-
-    L42 is the rank-one kernel of the quasi-norm probes and L44 the
-    collapsed-peak kernel of the A2-large sweep, each carrying the shared
-    inverse-Gaussian factor e^{-|x|^2+|y|^2}.  The regime flag records
-    whether the parameters satisfy the boundedness hypotheses; "inside" is
-    validated for L42 (mu + nu >= n - 2 and mu <= n), while "outside"
-    deliberately allows anything so unboundedness probes can be expressed.
-    """
-
-    kernel_id: str
-    n: int
-    mu: float = 0.0
-    nu: float = 0.0
-    delta: float = 1.0
-    regime: str = "inside"
-
-    def __post_init__(self):
-        kid = self.kernel_id
-        if kid not in _KERNEL_IDS:
-            raise ValueError(f"unknown kernel id {kid!r}")
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        if self.regime not in ("inside", "outside"):
-            raise ValueError("regime must be 'inside' or 'outside'")
-        if kid == "L44" and self.delta <= 0.0:
-            raise ValueError("delta must be positive")
-        if kid == "L42" and self.regime == "inside":
-            if self.mu + self.nu < self.n - 2.0 - 1e-12 or self.mu > self.n + 1e-12:
-                raise ValueError(
-                    "inside regime needs mu + nu >= n - 2 and mu <= n; "
-                    "flag regime='outside' to probe beyond the hypotheses"
-                )
 
 
 def _row_dots(X: np.ndarray, Y: np.ndarray):
@@ -389,18 +343,16 @@ def _second_half_integral_log(
     return _rule_integral_log(X, Y, u.size, terms, r0, yperp_sq)
 
 
-def lemma_kernel_batch(spec: LemmaKernelSpec, x, Y) -> np.ndarray:
-    """log of the collapsed-peak kernel L44 (>= 0) for the pair rows (x, y);
-    x is one point shared by every row of Y or one point per row.  The
-    rank-one kernel L42 is radial in x and has its own form,
-    _rank_one_radial_log."""
-    if spec.kernel_id != "L44":
-        raise ValueError("the batch form covers the collapsed-peak kernel L44 only")
+def lemma_kernel_batch(delta: float, x, Y) -> np.ndarray:
+    """log of the collapsed-peak kernel L44 (>= 0) with Gaussian constant
+    delta for the pair rows (x, y); x is one point shared by every row of Y
+    or one point per row.  The rank-one kernel L42 is radial in x and has
+    its own form, _rank_one_radial_log."""
+    if not _finite_positive(delta):
+        raise ValueError("delta must be positive and finite")
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if Y.shape[1] != spec.n:
-        raise ValueError("Y has the wrong dimension")
     X = np.broadcast_to(np.asarray(x, dtype=float), Y.shape)
-    n = spec.n
+    n = Y.shape[1]
     x_norm, r0, yperp_sq, _ = _peak_rows(X, Y)
     base = -x_norm * x_norm + np.sum(Y * Y, axis=1)
     log_x = np.log(x_norm)
@@ -412,7 +364,7 @@ def lemma_kernel_batch(spec: LemmaKernelSpec, x, Y) -> np.ndarray:
             base
             + 0.5 * (n + 1) * log_x
             - 0.5 * (n - 1) * np.log(dpar)
-            - spec.delta * yperp_sq * x_norm / np.maximum(dpar, 1e-300)
+            - delta * yperp_sq * x_norm / np.maximum(dpar, 1e-300)
         )
     return np.where(mask, vals, -np.inf)
 
@@ -731,7 +683,7 @@ def _build_registry() -> dict[str, SweepSpec]:
         return np.where(off, -np.inf, _log_block_a(a, X, Y))
 
     def collapsed_peak(a, X, Y):
-        lm = lemma_kernel_batch(LemmaKernelSpec("L44", n=n, delta=_BLOCK_C), X, Y)
+        lm = lemma_kernel_batch(_BLOCK_C, X, Y)
         xn, yn = norm(X), norm(Y)
         return lm + xn * xn - yn * yn
 
@@ -971,30 +923,25 @@ def czlocal_supremum(alpha: MultiIndex, count: int, rng: np.random.Generator) ->
 # rank-one operator probes
 
 
-def _rank_one_radial_log(spec: LemmaKernelSpec, t: np.ndarray) -> np.ndarray:
-    """log of the x-radial factor e^{-t^2} t^{-mu} (1+t)^{-nu}."""
+def _rank_one_radial_log(mu: float, nu: float, t: np.ndarray) -> np.ndarray:
+    """log of the x-radial factor e^{-t^2} t^{-mu} (1+t)^{-nu} of the
+    rank-one kernel L42."""
     t = np.asarray(t, dtype=float)
     with np.errstate(divide="ignore"):
-        return -t * t - spec.mu * np.log(t) - spec.nu * np.log1p(t)
+        return -t * t - mu * np.log(t) - nu * np.log1p(t)
 
 
-def rank_one_quasinorm_exact(spec: LemmaKernelSpec) -> float:
+def rank_one_quasinorm_exact(n: int, mu: float, nu: float) -> float:
     """log of sup_t Tf(t) * measure(B(0,t)) for the rank-one operator with a
     unit-norm input, computed from the closed forms.
 
     Mirrors the analytic construction: for each level s the super-level set
     is the centered ball whose radius is the largest solution of Tf(t) = s,
-    so the supremum over s equals the supremum over t of the product.
+    so the supremum over s equals the supremum over t of the product.  The
+    boundedness hypotheses are mu + nu >= n - 2 and mu <= n.
     """
-    if spec.kernel_id != "L42":
-        raise ValueError("exact quasi-norm applies to the rank-one kernel only")
-    n = spec.n
     t = np.exp(np.linspace(math.log(1e-10), math.log(40.0), 20000))
-    logq = (
-        _rank_one_radial_log(spec, t)
-        - 0.5 * n * _LOG_PI
-        + _log_radial_ball_measure(n, t)
-    )
+    logq = _rank_one_radial_log(mu, nu, t) - 0.5 * n * _LOG_PI + _log_radial_ball_measure(n, t)
     k = int(np.argmax(logq))
     lo = t[max(k - 1, 0)]
     hi = t[min(k + 1, t.size - 1)]
@@ -1002,7 +949,7 @@ def rank_one_quasinorm_exact(spec: LemmaKernelSpec) -> float:
     def neg(log_t: float) -> float:
         tt = np.array([math.exp(log_t)])
         return -float(
-            _rank_one_radial_log(spec, tt)[0]
+            _rank_one_radial_log(mu, nu, tt)[0]
             - 0.5 * n * _LOG_PI
             + _log_radial_ball_measure(n, tt)[0]
         )
@@ -1014,46 +961,31 @@ def rank_one_quasinorm_exact(spec: LemmaKernelSpec) -> float:
 
 
 _PROBE_T_MAX = 30.0
-_PROBE_T_COUNT = 4096
+_PROBE_T_COUNT = 2**14
 
 
-def weak_quasinorm_probe(spec: LemmaKernelSpec, t_min: float = 1e-8) -> float:
+def weak_quasinorm_probe(n: int, mu: float, nu: float, t_min: float = 1e-8) -> float:
     """log weak quasi-norm of the rank-one operator (kernel L42) on a
     nonnegative input of unit measure-norm, from a sampled profile.
 
     Tf(x) is the kernel's radial factor in t = |x| times the integral of
     e^{|y|^2} f(y) dy, which is pi^{-n/2} for every such input, so the probe
-    takes no input.  Tf is sampled on 4096 geometric nodes of t from t_min
-    to 30; measures use the closed-form centered-ball values on annuli
-    around the nodes.  Works for n <= 2; other kernels raise ValueError, as
-    in rank_one_quasinorm_exact.
+    takes no input.  Tf is sampled on 2^14 geometric nodes t_k from t_min
+    to 30.  Node k owns the shell t_k <= |x| < t_{k+1} (node 0 also owns
+    |x| < t_0, and the last shell is one geometric step wide), measured by
+    closed-form centered-ball differences; the level sets at the node values
+    come from the sorted-suffix sum of level_set_report, so profiles need not
+    be monotone.  Works for n <= 2.
     """
-    n = spec.n
-    if spec.kernel_id != "L42":
-        raise ValueError("the probe applies to the rank-one kernel only")
-    if n > 2:
-        raise NotImplementedError("probe implemented for n <= 2")
+    if not 0.0 < t_min < _PROBE_T_MAX:
+        raise ValueError(f"t_min must lie in (0, {_PROBE_T_MAX:g})")
     t = np.exp(np.linspace(math.log(t_min), math.log(_PROBE_T_MAX), _PROBE_T_COUNT))
-    log_tf = _rank_one_radial_log(spec, t) - 0.5 * n * _LOG_PI
-    if np.all(np.diff(log_tf) <= 1e-9):
-        # non-increasing profile: the super-level set at s = Tf(t_k) is the
-        # centered ball of radius t_k, measured in closed form
-        return float(np.max(log_tf + _log_radial_ball_measure(n, t)))
-    inner_edges = np.sqrt(t[:-1] * t[1:])
-    edges = np.concatenate([[1e-300], inner_edges, [_PROBE_T_MAX]])
-    log_m = _log_radial_ball_measure(n, edges)
-    # log of measure of the annulus owned by each t-node
-    with np.errstate(invalid="ignore"):
-        log_dm = log_m[1:] + np.log(-np.expm1(np.minimum(log_m[:-1] - log_m[1:], 0.0)))
-    log_dm[0] = log_m[1]
-    best = -math.inf
-    for i in range(0, _PROBE_T_COUNT, 512):
-        s_block = log_tf[i : i + 512]
-        mask = log_tf[None, :] > s_block[:, None]
-        masses = np.where(mask, log_dm[None, :], -np.inf)
-        _, lm = signed_logsumexp(masses, axis=1)
-        best = max(best, float(np.max(s_block + lm)))
-    return best
+    log_tf = _rank_one_radial_log(mu, nu, t) - 0.5 * n * _LOG_PI
+    # node k's shell: the ball of radius t_{k+1} (one step past t_max for the
+    # last node) less the ball of radius t_k, which node 0 keeps whole
+    log_shells = _log_radial_ball_measure(n, np.append(t[1:], t[-1] ** 2 / t[-2]))
+    log_shells[1:] += np.log(-np.expm1(log_shells[:-1] - log_shells[1:]))
+    return float(np.max(log_tf + _log_measures_above(log_tf, log_shells, log_tf)))
 
 
 # --------------------------------------------------------------------------
@@ -1178,8 +1110,6 @@ def _tube_grid(cfg: CounterexampleConfig, eta: float):
     axis_count = int(math.ceil(cfg.grid_axis * eta / min(cfg.etas)))
     axis_edges = np.linspace(lo, hi, axis_count + 1)
     axis, log_axis = _centroid_cells(axis_edges)
-    if n == 1:
-        return axis[:, None] @ q.T, log_axis
     perp_edges = np.linspace(-w, w, cfg.grid_perp + 1)
     perp, log_perp = _centroid_cells(perp_edges)
     grids = np.meshgrid(axis, *([perp] * (n - 1)), indexing="ij")
@@ -1328,35 +1258,6 @@ def counterexample_lower_bound(
         expectation=expectation,
         passed=bool(passed),
     )
-
-
-def tube_kernel_lower_constant(
-    alpha: MultiIndex, eta: float, count: int = 256, rng=None
-) -> tuple[float, int]:
-    """min over sampled tube/ball pairs of
-    (-1)^{|alpha|} K(x,y) / (|z|^{|alpha|-1} e^{-|x|^2+|y|^2}),
-    as a log, plus the number of samples where the sign came out wrong.
-    """
-    n = alpha.dim
-    rng = rng or np.random.default_rng(11)
-    z = np.full(n, eta)
-    q, (lo, hi), w = _tube(n, eta)
-    axis = rng.uniform(lo, hi, size=count)
-    perp = rng.uniform(-w, w, size=(count, n - 1))
-    X = np.concatenate([axis[:, None], perp], axis=1) @ q.T
-    d = rng.normal(size=(count, n))
-    d /= np.linalg.norm(d, axis=1)[:, None]
-    Y = z[None, :] + d * (rng.uniform(size=count) ** (1.0 / n))[:, None]
-    signs, logmags = riesz_kernel_batch(alpha, X, Y)
-    want = 1 if alpha.order % 2 == 0 else -1
-    violations = int(np.sum(signs != want))
-    ref = (
-        (alpha.order - 1) * math.log(math.sqrt(n) * eta)
-        - np.sum(X * X, axis=1)
-        + np.sum(Y * Y, axis=1)
-    )
-    ratios = np.where(signs == want, logmags - ref, -np.inf)
-    return float(np.min(ratios)), violations
 
 
 # --------------------------------------------------------------------------

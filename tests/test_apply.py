@@ -74,10 +74,6 @@ class TestValidation:
 
     def test_pv_config_validation(self):
         with pytest.raises(ValueError):
-            PVConfig(epsilon=0.0)
-        with pytest.raises(ValueError):
-            PVConfig(levels=1)
-        with pytest.raises(ValueError):
             PVConfig(rel_tol=0.0)
 
     def test_nan_point_rejected(self):
@@ -85,21 +81,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             apply_riesz(MultiIndex.of(1), f, np.array([math.nan]))
 
-    def test_pv_config_non_integer_levels_rejected(self):
-        # range(levels) would only fail later, with a TypeError
-        for levels in (2.5, 3.0, math.nan):
-            with pytest.raises(ValueError, match="integer"):
-                PVConfig(levels=levels)
-        assert PVConfig(levels=np.int64(3)).levels == 3
-
     def test_pv_config_nan_tolerance_rejected(self):
         # a NaN tolerance would make every ladder check pass
         with pytest.raises(ValueError):
             PVConfig(rel_tol=math.nan)
 
-    def test_pv_config_infinite_epsilon_rejected(self):
+    def test_pv_config_infinite_tolerance_rejected(self):
         with pytest.raises(ValueError):
-            PVConfig(epsilon=math.inf)
+            PVConfig(rel_tol=math.inf)
 
     def test_nan_support_radius_rejected(self):
         with pytest.raises(ValueError):
@@ -206,13 +195,13 @@ class TestKernelSums:
 
 class TestLadderFailure:
     def test_coarse_ladder_raises(self):
-        # two levels cannot support the eps-log model at a tolerance this
-        # tight, so the disagreement check must fire
+        # the four-level ladder's two fits disagree by about 2e-7 here, so
+        # a tolerance of 1e-9 must fire the disagreement check
         f = gaussian_fn(1)
-        pv = PVConfig(epsilon=0.4, levels=2, rel_tol=1e-9)
+        pv = PVConfig(rel_tol=1e-9)
         with pytest.raises(NonConvergenceError) as info:
             apply_riesz(MultiIndex.of(1), f, np.array([0.5]), pv=pv)
-        assert info.value.subdivisions == 2
+        assert info.value.subdivisions == 4
 
 
 class TestBallIndicator:

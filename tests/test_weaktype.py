@@ -14,7 +14,7 @@ from scipy.optimize import brentq
 import rieszlab.weaktype as wt
 from rieszlab import MultiIndex
 from rieszlab.apply import _kernel_sums_log, _polar_nodes, apply_riesz, ball_indicator
-from rieszlab.kernels import _riesz_batch
+from rieszlab.kernels import _riesz_batch, riesz_kernel_batch
 from rieszlab.logscaled import signed_logsumexp
 from rieszlab.quadrature import gauss_legendre
 from rieszlab.regions import sample_global_pairs, sample_local_pairs
@@ -34,6 +34,13 @@ class TestBallMeasure:
         for r in (0.5, 1.1, 2.0):
             got = wt.gamma_inv_ball_log(2, [0.0, 0.0], r).to_float()
             want = math.pi**2 * math.expm1(r * r)
+            assert abs(got - want) <= 1e-12 * want
+
+    def test_dimension_one_off_center_closed_form(self):
+        # sqrt(pi) int_{c-r}^{c+r} e^{x^2} dx = (pi/2) (erfi(c+r) - erfi(c-r))
+        for c, r in ((0.8, 0.3), (-1.7, 1.2), (3.0, 0.5)):
+            got = wt.gamma_inv_ball_log(1, [c], r).to_float()
+            want = 0.5 * math.pi * (special.erfi(c + r) - special.erfi(c - r))
             assert abs(got - want) <= 1e-12 * want
 
     def test_off_center_matches_scipy_quadrature(self):
@@ -66,6 +73,11 @@ class TestBallMeasure:
         got = float(wt._log_radial_ball_measure(1, np.array([26.0]))[0])
         want = math.log(math.pi) + math.log(float(special.erfi(26.0)))
         assert abs(got - want) <= 1e-6
+
+    def test_dimension_three_not_implemented(self):
+        # the closed-form direction integral exists for n <= 2 only
+        with pytest.raises(NotImplementedError):
+            wt.gamma_inv_ball_log(3, [0.0, 0.0, 0.0], 1.0)
 
 
 class TestGaussSquareCells:
@@ -125,39 +137,20 @@ class TestLevelSetReport:
         assert rep.quasi_norm == 0.0
         assert rep.log_thresholds.size == 0
 
-
-class TestLemmaKernelSpec:
-    def test_unknown_id(self):
-        # the radial-integral pieces are not catalog kernels
-        for kid in ("K9", "K1a", "K2a", "L41", "L43"):
-            with pytest.raises(ValueError):
-                wt.LemmaKernelSpec(kid, 1)
-
-    def test_piece_only_for_k2a(self):
-        # pieces belong to the second-half integral alone, which names them
-        with pytest.raises(TypeError):
-            wt.LemmaKernelSpec("L42", 1, piece="near")
-        X, Y = np.array([[1.5]]), np.array([[1.2]])
-        with pytest.raises(ValueError):
-            wt._second_half_integral_log(0, X, Y, "nearby")
-
-    def test_inside_regime_hypotheses(self):
-        with pytest.raises(ValueError):
-            wt.LemmaKernelSpec("L42", 1, mu=3.0)  # mu > n
-        with pytest.raises(ValueError):
-            wt.LemmaKernelSpec("L42", 2, mu=-1.0, nu=0.5)  # mu + nu < n - 2
-        # the same parameters are allowed as an explicit out-of-regime probe
-        wt.LemmaKernelSpec("L42", 1, mu=3.0, regime="outside")
-
-    def test_misc_validation(self):
-        with pytest.raises(ValueError):
-            wt.LemmaKernelSpec("L44", 2, delta=0.0)
-        with pytest.raises(ValueError):
-            wt.LemmaKernelSpec("L44", 2, delta=-1.0)
-        with pytest.raises(ValueError):
-            wt.LemmaKernelSpec("L42", 0)
-        with pytest.raises(ValueError):
-            wt.LemmaKernelSpec("L44", 1, regime="maybe")
+    def test_step_function_with_tied_value(self):
+        # |Tf| = 2, 4, 1, 2 on cells of mass 3, 1, 8, 5: measure{|Tf| > s}
+        # is 17 below 1, 9 on [1, 2), 1 on [2, 4) and 0 from 4 on, so
+        # sup_s s * measure{|Tf| > s} = 2 * 9 = 18, approached as s -> 2-
+        log_tf = np.log([2.0, 4.0, 1.0, 2.0])
+        log_masses = np.log([3.0, 1.0, 8.0, 5.0])
+        s = np.array([0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0])
+        got = wt._log_measures_above(log_tf, log_masses, np.log(s))
+        with np.errstate(divide="ignore"):
+            want = np.log([17.0, 9.0, 9.0, 1.0, 1.0, 0.0, 0.0])
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+        below = np.log([1.0, 2.0, 4.0]) - 1e-12
+        sup = np.max(below + wt._log_measures_above(log_tf, log_masses, below))
+        assert abs(sup - math.log(18.0)) <= 2e-12
 
 
 def _first_half(a):
@@ -168,8 +161,8 @@ def _second_half(a, piece="full"):
     return lambda X, Y: wt._second_half_integral_log(a, X, Y, piece)
 
 
-def _catalog(spec):
-    return lambda X, Y: wt.lemma_kernel_batch(spec, X, Y)
+def _catalog(delta):
+    return lambda X, Y: wt.lemma_kernel_batch(delta, X, Y)
 
 
 class TestLemmaKernels:
@@ -228,7 +221,7 @@ class TestLemmaKernels:
         Y = rng.normal(size=(12, 2)) * 1.5
         X = np.broadcast_to(x, Y.shape)
         kernels = [
-            _catalog(wt.LemmaKernelSpec("L44", 2, delta=0.7)),
+            _catalog(0.7),
             _first_half(1),
             _second_half(1),
         ]
@@ -247,7 +240,7 @@ class TestLemmaKernels:
         X = rng.normal(size=(10, 2)) * 2.0
         Y = rng.normal(size=(10, 2)) * 2.0
         kernels = [
-            _catalog(wt.LemmaKernelSpec("L44", 2, delta=0.7)),
+            _catalog(0.7),
             _first_half(2),
             _second_half(1, "mid"),
         ]
@@ -274,24 +267,31 @@ class TestLemmaKernels:
                 assert np.array_equal(rows, single)
 
     def test_masked_kernels_vanish_off_sector(self):
-        l44 = wt.LemmaKernelSpec("L44", 2)
         x = np.array([3.0, 0.0])
         Y = np.array([[2.0, 0.4], [3.5, 0.0], [2.9, 0.0]])
-        vals = wt.lemma_kernel_batch(l44, x, Y)
+        vals = wt.lemma_kernel_batch(1.0, x, Y)
         assert math.isfinite(vals[0])
         assert vals[1] == -math.inf  # y_par beyond |x|
         assert vals[2] == -math.inf  # peak too close: |x| d_par < 1
 
     def test_eval_wraps_zero(self):
-        spec = wt.LemmaKernelSpec("L44", 2)
-        out = wt.lemma_kernel_batch(spec, [3.0, 0.0], [3.5, 0.0])
+        out = wt.lemma_kernel_batch(1.0, [3.0, 0.0], [3.5, 0.0])
         assert out.tolist() == [-math.inf]
 
-    def test_rank_one_kernel_has_no_batch_form(self):
-        # the rank-one probes evaluate L42 through its radial factor alone
-        spec = wt.LemmaKernelSpec("L42", 2, mu=1.0, nu=0.5)
-        with pytest.raises(ValueError, match="L44"):
-            wt.lemma_kernel_batch(spec, [3.0, 0.0], [3.5, 0.0])
+    def test_point_dimension_must_match(self):
+        with pytest.raises(ValueError):
+            wt.lemma_kernel_batch(1.0, [3.0, 0.0, 1.0], [[2.0, 0.4]])
+
+    def test_delta_must_be_positive(self):
+        for delta in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                wt.lemma_kernel_batch(delta, [3.0, 0.0], [2.0, 0.4])
+
+    def test_unknown_piece_rejected(self):
+        # pieces belong to the second-half integral alone, which names them
+        X, Y = np.array([[1.5]]), np.array([[1.2]])
+        with pytest.raises(ValueError):
+            wt._second_half_integral_log(0, X, Y, "nearby")
 
 
 class TestProfileAndBlocks:
@@ -518,53 +518,61 @@ class TestRankOneProbes:
     def test_probe_matches_exact_for_monotone_profiles(self):
         cases = [(1, 1.0, 0.0), (1, 0.5, 0.0), (2, 1.0, -1.0), (2, 1.5, 0.5)]
         for n, mu, nu in cases:
-            spec = wt.LemmaKernelSpec("L42", n, mu=mu, nu=nu)
-            exact = wt.rank_one_quasinorm_exact(spec)
-            probe = wt.weak_quasinorm_probe(spec)
+            exact = wt.rank_one_quasinorm_exact(n, mu, nu)
+            probe = wt.weak_quasinorm_probe(n, mu, nu)
             assert abs(math.expm1(probe - exact)) <= 1e-4
 
+    def test_exact_matches_hand_closed_forms(self):
+        # at mu = n, nu = 0 the product Tf(t) * measure(B(0, t)) decreases
+        # in t: (1 - e^{-t^2}) pi / t^2 in n = 2, sqrt(pi) e^{-t^2} erfi(t) / t
+        # in n = 1, whose suprema are their t -> 0 limits pi and 2
+        assert abs(wt.rank_one_quasinorm_exact(2, 2.0, 0.0) - math.log(math.pi)) <= 1e-12
+        assert abs(wt.rank_one_quasinorm_exact(1, 1.0, 0.0) - math.log(2.0)) <= 1e-12
+
     def test_non_monotone_profile_against_root_finding(self):
-        # mu < 0 makes Tf rise then fall, forcing the annulus-mass branch;
-        # the oracle solves Tf(t) = s on both sides of the peak and uses the
-        # closed-form measure of the resulting annulus
-        spec = wt.LemmaKernelSpec("L42", 1, mu=-0.5, nu=0.0)
-        probe = wt.weak_quasinorm_probe(spec)
+        # mu < 0 makes Tf rise then fall, so its super-level sets are
+        # annuli; the oracle solves Tf(t) = s on both sides of the peak and
+        # uses the closed-form measure of the resulting annulus
+        annulus = {
+            1: lambda t1, t2: math.pi * (special.erfi(t2) - special.erfi(t1)),
+            2: lambda t1, t2: math.pi**2 * (math.exp(t2 * t2) - math.exp(t1 * t1)),
+        }
+        # (n, mu, nu): both satisfy mu + nu >= n - 2
+        for n, mu, nu in ((1, -0.5, 0.0), (2, -0.5, 1.0)):
+            probe = wt.weak_quasinorm_probe(n, mu, nu)
 
-        def phi(t):
-            return math.exp(-t * t) * t**0.5
+            def phi(t):
+                return math.exp(-t * t) * t**-mu * (1.0 + t) ** -nu
 
-        t_peak = 0.5
-        peak = phi(t_peak) / math.sqrt(math.pi)
-        best = -math.inf
-        for s in np.exp(np.linspace(math.log(peak) - 9.0, math.log(peak) - 1e-4, 400)):
-            level = s * math.sqrt(math.pi)
-            t1 = brentq(lambda t: phi(t) - level, 1e-12, t_peak)
-            t2 = brentq(lambda t: phi(t) - level, t_peak, 50.0)
-            measure = math.pi * (special.erfi(t2) - special.erfi(t1))
-            best = max(best, math.log(s) + math.log(measure))
-        assert abs(math.expm1(probe - best)) <= 2e-2
+            t_peak = brentq(lambda t: -2.0 * t - mu / t - nu / (1.0 + t), 1e-6, 10.0)
+            norm = math.pi ** (0.5 * n)
+            peak = phi(t_peak) / norm
+            best = -math.inf
+            for s in np.exp(np.linspace(math.log(peak) - 9.0, math.log(peak) - 1e-4, 400)):
+                level = s * norm
+                t1 = brentq(lambda t: phi(t) - level, 1e-12, t_peak)
+                t2 = brentq(lambda t: phi(t) - level, t_peak, 50.0)
+                best = max(best, math.log(s) + math.log(annulus[n](t1, t2)))
+            assert abs(math.expm1(probe - best)) <= 2e-2
 
     def test_growth_exponent_outside_regime(self):
         # mu = n + 1: shrinking the inner cutoff grows the estimate like
         # t_min^{-1}, the numerical signature of unboundedness
-        spec = wt.LemmaKernelSpec("L42", 1, mu=2.0, nu=0.0, regime="outside")
         t_mins = [1e-2, 1e-3, 1e-4]
-        vals = [wt.weak_quasinorm_probe(spec, t_min=tm) for tm in t_mins]
+        vals = [wt.weak_quasinorm_probe(1, 2.0, 0.0, t_min=tm) for tm in t_mins]
         slope = float(np.polyfit(np.log(t_mins), vals, 1)[0])
         assert abs(slope + 1.0) <= 1e-2
 
-    def test_exact_requires_rank_one_kernel(self):
-        with pytest.raises(ValueError):
-            wt.rank_one_quasinorm_exact(wt.LemmaKernelSpec("L44", 1))
-
-    def test_probe_requires_rank_one_kernel(self):
-        with pytest.raises(ValueError):
-            wt.weak_quasinorm_probe(wt.LemmaKernelSpec("L44", 1))
+    def test_probe_t_min_must_lie_below_t_max(self):
+        for t_min in (0.0, -1.0, 30.0, 50.0, math.nan):
+            with pytest.raises(ValueError):
+                wt.weak_quasinorm_probe(1, 1.0, 0.0, t_min=t_min)
 
     def test_probe_dimension_limit(self):
-        spec = wt.LemmaKernelSpec("L42", 3, mu=1.0, nu=0.5)
-        with pytest.raises(NotImplementedError):
-            wt.weak_quasinorm_probe(spec)
+        # the closed-form ball measure exists for n <= 2 only
+        for rank_one in (wt.weak_quasinorm_probe, wt.rank_one_quasinorm_exact):
+            with pytest.raises(NotImplementedError):
+                rank_one(3, 1.0, 0.5)
 
 
 class TestTubeGeometry:
@@ -629,31 +637,25 @@ class TestTubeGeometry:
             wt.CounterexampleConfig(alpha=MultiIndex.of(2, 1), n=2, **kwargs)
 
     def test_grid_points_inside_tube_with_exact_mass(self):
-        cfg = wt.CounterexampleConfig(
-            alpha=MultiIndex.of(2, 1),
-            etas=(4.0,),
-            n=2,
-            grid_axis=12,
-            grid_perp=4,
-            ball_radial=8,
-            ball_angular=16,
-        )
-        pts, log_cell = wt._tube_grid(cfg, 4.0)
-        q, (lo, hi), w = wt._tube(2, 4.0, cfg.tube_perp_half)
-        coords = pts @ q
-        assert np.all((lo < coords[:, 0]) & (coords[:, 0] < hi))
-        assert np.all(np.abs(coords[:, 1]) < w)
-        # total mass: pi^{n/2} times a product of one-dimensional integrals
-        # of e^{u^2}, via int_0^x e^{u^2} du = e^{x^2} dawsn(x)
-        f_log = lambda u: u * u + math.log(special.dawsn(u))
-        log_axis = f_log(hi) + math.log1p(-math.exp(f_log(lo) - f_log(hi)))
-        log_perp = math.log(2.0 * math.exp(w * w) * special.dawsn(w))
-        want = math.log(math.pi) + log_axis + log_perp
-        mass_logs = log_cell + np.sum(pts * pts, axis=1)
-        got = float(signed_logsumexp(mass_logs[None, :], axis=1)[1][0]) + math.log(
-            math.pi
-        )
-        assert abs(got - want) <= 1e-10
+        # n = 1 grids come from the same product of axis and perp cells
+        for alpha, eta in ((MultiIndex.of(3), 6.0), (MultiIndex.of(2, 1), 4.0)):
+            n = alpha.dim
+            cfg = wt.CounterexampleConfig(alpha=alpha, etas=(eta,), n=n, grid_axis=12, grid_perp=4)
+            pts, log_cell = wt._tube_grid(cfg, eta)
+            q, (lo, hi), w = wt._tube(n, eta, cfg.tube_perp_half)
+            coords = pts @ q
+            assert pts.shape == (12 * 4 ** (n - 1), n)
+            assert np.all((lo < coords[:, 0]) & (coords[:, 0] < hi))
+            assert np.all(np.abs(coords[:, 1:]) < w)
+            # total mass: pi^{n/2} times a product of one-dimensional
+            # integrals of e^{u^2}, via int_0^x e^{u^2} du = e^{x^2} dawsn(x)
+            f_log = lambda u: u * u + math.log(special.dawsn(u))
+            log_axis = f_log(hi) + math.log1p(-math.exp(f_log(lo) - f_log(hi)))
+            log_perp = math.log(2.0 * math.exp(w * w) * special.dawsn(w))
+            want = log_axis + (n - 1) * log_perp
+            mass_logs = log_cell + np.sum(pts * pts, axis=1)
+            got = float(signed_logsumexp(mass_logs[None, :], axis=1)[1][0])
+            assert abs(got - want) <= 1e-10
 
     def test_cell_points_are_weight_centroids(self):
         # each cell's point is the centroid of e^{u^2}, checked against
@@ -709,10 +711,26 @@ class TestTubeTransform:
             assert abs(math.expm1(math.log(abs(ref)) - log_meas - logmags[idx])) <= 1e-9
 
     def test_kernel_sign_and_size_on_tube(self):
+        # on pairs x in the tube, y in the ball B(z, 1), K has the sign
+        # (-1)^{|alpha|} and a finite log ratio to |z|^{|alpha|-1} e^{-|x|^2+|y|^2}
+        eta, count = 4.0, 128
         for alpha in (MultiIndex.of(2, 1), MultiIndex.of(2, 1, 0)):
-            log_ratio, violations = wt.tube_kernel_lower_constant(alpha, 4.0, count=128)
-            assert violations == 0
-            assert math.isfinite(log_ratio)
+            n, rng = alpha.dim, np.random.default_rng(11)
+            q, (lo, hi), w = wt._tube(n, eta)
+            axis = rng.uniform(lo, hi, size=count)
+            perp = rng.uniform(-w, w, size=(count, n - 1))
+            X = np.concatenate([axis[:, None], perp], axis=1) @ q.T
+            d = rng.normal(size=(count, n))
+            d /= np.linalg.norm(d, axis=1)[:, None]
+            Y = eta + d * (rng.uniform(size=count) ** (1.0 / n))[:, None]
+            signs, logmags = riesz_kernel_batch(alpha, X, Y)
+            assert np.sum(signs != (-1) ** alpha.order) == 0
+            ref = (
+                (alpha.order - 1) * math.log(math.sqrt(n) * eta)
+                - np.sum(X * X, axis=1)
+                + np.sum(Y * Y, axis=1)
+            )
+            assert math.isfinite(float(np.min(logmags - ref)))
 
     def test_single_eta_reports_without_fit(self):
         cfg = wt.CounterexampleConfig(

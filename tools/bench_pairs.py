@@ -15,7 +15,8 @@ first in odd ones, one run at a time, and waits for each run to end.  The
 file holds the machine, the parent's sha, the command, every run, and per
 side the median and quartiles (`statistics.quantiles`, inclusive) of each
 end-to-end metric.  Each side also gets, on request, and with the same
-alternation of sides:
+alternation of sides (each side's `wc -l src/rieszlab/*.py` total is always
+written, as `src_lines`):
 
   --tube-tf  seconds of one default-grid weaktype._tube_tf_logs call for
              alpha (2,1) at eta 4 and 10, one fresh process per call;
@@ -28,6 +29,7 @@ alternation of sides:
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import platform
@@ -136,6 +138,15 @@ def run_script(root: str, script: str, *args: str) -> str:
     return done.stdout.strip().splitlines()[-1]
 
 
+def src_lines(root: str) -> int:
+    """Total of `wc -l src/rieszlab/*.py`: newline characters in those files."""
+    total = 0
+    for path in glob.glob(os.path.join(root, "src", "rieszlab", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
+
+
 def tier1(root: str) -> dict:
     cmd = [sys.executable, "-m", "pytest", "-q", "-rA", "--continue-on-collection-errors"]
     env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
@@ -146,9 +157,10 @@ def tier1(root: str) -> dict:
 
 
 def side_extras(roots: dict, seed: int, tube_tf: bool, outputs: bool, tier: bool) -> dict:
-    """The requested per-side figures; the parent goes first, then the
-    change, and timed figures get a second round in the other order."""
-    out = {}
+    """The size of src/ and the requested per-side figures; the parent goes
+    first, then the change, and timed figures get a second round in the
+    other order."""
+    out = {"src_lines": {side: src_lines(roots[side]) for side in SIDES}}
     if tube_tf:
         out["tube_tf_default_grid_s"] = {
             f"eta{eta}": {side: [] for side in SIDES} for eta in (4, 10)
