@@ -120,8 +120,6 @@ def signed_logsumexp(
     (signs, logmags) of the reduced array.  All-zero slices reduce to
     (0, -inf).  Terms more than NEGLIGIBLE_LOGMAG below their slice's
     largest add exactly 0, so exp never sees an argument below -700.
-    That pays in the sweeps' second-half integrals, where 88% of the
-    entries lie that far below; the other callers have few or none.
     """
     logmags = np.asarray(logmags, dtype=float)
     shift = np.max(logmags, axis=axis, keepdims=True)

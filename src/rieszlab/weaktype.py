@@ -24,8 +24,8 @@ from scipy import special
 
 from rieszlab.apply import _finite_positive, _kernel_sums_log
 from rieszlab.geometry import MultiIndex
-from rieszlab.kernels import _BLOCK_PAIR_NODES, _row_blocks, riesz_kernel_batch
-from rieszlab.logscaled import LogScaled, signed_logsumexp
+from rieszlab.kernels import _WINDOW_CUT, _row_blocks, riesz_kernel_batch
+from rieszlab.logscaled import NEGLIGIBLE_LOGMAG, LogScaled, signed_logsumexp
 from rieszlab.quadrature import gauss_legendre
 from rieszlab.regions import (
     _draw_pairs,
@@ -235,7 +235,9 @@ def level_set_report(
 
 
 def _row_dots(X: np.ndarray, Y: np.ndarray):
-    """Per-row |x|^2, x.y and |y|^2."""
+    """Per-row |x|^2, x.y and |y|^2; a NaN or inf entry raises ValueError."""
+    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
+        raise ValueError("pair rows must be finite")
     return np.sum(X * X, axis=1), np.sum(X * Y, axis=1), np.sum(Y * Y, axis=1)
 
 
@@ -263,28 +265,73 @@ def _peak_rows(X: np.ndarray, Y: np.ndarray):
 
 # one 64-point panel on r in (0, 1/2), and 12-point panels on u = 1 - r in
 # (u_min, 1/2) whose edges halve from 1/2 down to the first power of two
-# at or below u_min = 1e-14
+# at or below u_min = 1e-14; as rules (panel cuts, node arrays)
 _R_NODES, _R_W = gauss_legendre([0.0, 0.5], 64)
 _R_LOGW = np.log(_R_W)
-_U_NODES, _U_W = gauss_legendre(2.0 ** np.arange(math.floor(math.log2(1e-14)), 0), 12)
+_U_EDGES = 2.0 ** np.arange(math.floor(math.log2(1e-14)), 0)
+_U_NODES, _U_W = gauss_legendre(_U_EDGES, 12)
 _U_LOGW = np.log(_U_W)
+_R_RULE = (np.array([0, _R_NODES.size]), (_R_NODES, _R_LOGW))
+_U_RULE = (np.arange(0, _U_NODES.size + 1, 12), (_U_NODES, _U_LOGW))
 
 
-def _rule_integral_log(X: np.ndarray, Y: np.ndarray, nodes: int, terms, *per_row) -> np.ndarray:
-    """log of sum_k e^{terms[:, k]} for each pair row, in cache-sized row blocks.
+def _rule_integral_log(X, Y, rule, terms, *per_row, span=None) -> np.ndarray:
+    """log of sum_k e^{terms[:, k]} for each pair row, over the row's live
+    window of the rule's panels.
 
-    terms(x2, xy, y2, *per_row) maps (rows, 1) columns of one block (|x|^2,
-    x.y, |y|^2, then each per-row array) to its (rows, nodes) log terms.
-    Blocks hold half the kernel's pair-node budget: unlike the kernel, terms
-    allocates a fresh array per operation, and at the full budget the
-    freed arrays page-fault in again on every block (178k against 1.4k
-    minor faults, 1.27x the time, over the sweeps of one verify round).
+    rule = (cuts, nodes): panel j holds nodes cuts[j]..cuts[j+1]-1 of each
+    array in nodes.  terms(nodes, x2, xy, y2, *per_row) maps (1, k) node rows
+    and (rows, 1) columns (|x|^2, x.y, |y|^2, then each per-row array) to
+    (rows, k) log terms.  span = (first, end), if given, bounds each row to
+    panels first..end-1; a row with none is -inf and evaluates no node.  As
+    in `kernels._windows`, a row keeps the panels whose middle-node term is
+    within e^-_WINDOW_CUT of its largest, plus one on each side, inside its
+    span (all of it when no probe is finite).  Rows sorted by window go in
+    blocks of their windows' union at half the kernel's pair-node budget,
+    as terms allocates a fresh array per operation.  Nodes outside a row's
+    window are exact zeros and panel sums are added in order, so no value
+    depends on a row's block-mates.  Non-finite X or Y raises ValueError.
     """
+    cuts, nodes = rule
+    panels = cuts.size - 1
     cols = [v[:, None] for v in (*_row_dots(X, Y), *per_row)]
-    out = np.empty(len(X))
-    for blk in _row_blocks(len(X), nodes, max(1, _BLOCK_PAIR_NODES // 2 // nodes)):
-        out[blk] = signed_logsumexp(terms(*(v[blk] for v in cols)), axis=1)[1]
+    first, end = span or (np.zeros(len(X), int), np.full(len(X), panels))
+    probes = tuple(v[None, (cuts[:-1] + cuts[1:]) // 2] for v in nodes)
+    out = np.full(len(X), -np.inf)
+    rows = np.flatnonzero(first < end)
+    for chunk in _row_blocks(rows.size, panels):
+        i = rows[chunk]
+        g = terms(probes, *(v[i] for v in cols))
+        # every panel of a row with no finite probe counts as live
+        live = g >= g.max(axis=1, keepdims=True) - _WINDOW_CUT
+        lo = np.maximum(live.argmax(axis=1) - 1, first[i])
+        hi = np.minimum(panels + 1 - live[:, ::-1].argmax(axis=1), end[i])
+        by_window = np.lexsort((hi, lo))
+        i, lo, hi = i[by_window], lo[by_window], hi[by_window]
+        for b in _row_blocks(i.size, 2 * (cuts[hi.max()] - cuts[lo.min()])):
+            out[i[b]] = _window_log_sum(rule, terms, [v[i[b]] for v in cols], lo[b], hi[b])
     return out
+
+
+def _window_log_sum(rule, terms, cols, lo, hi) -> np.ndarray:
+    """log of the sum of e^terms per row over its panels lo..hi-1."""
+    cuts, nodes = rule
+    first, last = int(lo.min()), int(hi.max())
+    g = terms(tuple(v[None, cuts[first] : cuts[last]] for v in nodes), *cols)
+    if lo.max() > first or hi.min() < last:  # some row's window is narrower than the union
+        panel = np.repeat(np.arange(first, last), np.diff(cuts[first : last + 1]))
+        np.copyto(g, -np.inf, where=(panel < lo[:, None]) | (panel >= hi[:, None]))
+    shift = g.max(axis=1)
+    shift[shift == -np.inf] = 0.0  # a row with no finite term sums to 0
+    g -= shift[:, None]
+    kept = g >= -NEGLIGIBLE_LOGMAG
+    np.maximum(g, -NEGLIGIBLE_LOGMAG, out=g)
+    np.exp(g, out=g)
+    g *= kept
+    # panel sums added in order: the zeros outside a window change no bit
+    total = np.add.reduceat(g, cuts[first:last] - cuts[first], axis=1).cumsum(axis=1)[:, -1]
+    with np.errstate(divide="ignore"):
+        return np.log(total) + shift
 
 
 def _log_dist_power(a: float, r: np.ndarray, x2, xy, y2) -> np.ndarray:
@@ -297,13 +344,13 @@ def _log_dist_power(a: float, r: np.ndarray, x2, xy, y2) -> np.ndarray:
 def _first_half_integral_log(a: int, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Bare integral over r in (0, 1/2): r^{n-1} |x - r y|^a e^{-|r x - y|^2}."""
     n = X.shape[1]
-    r, logw = _R_NODES[None, :], _R_LOGW[None, :]
 
-    def terms(x2, xy, y2):
+    def terms(nodes, x2, xy, y2):
+        r, logw = nodes
         out = (n - 1) * np.log(r) + logw - (r * r * x2 - 2.0 * r * xy + y2)
         return out + _log_dist_power(a, r, x2, xy, y2) if a > 0 else out
 
-    return _rule_integral_log(X, Y, r.size, terms)
+    return _rule_integral_log(X, Y, _R_RULE, terms)
 
 
 def _second_half_integral_log(
@@ -313,34 +360,35 @@ def _second_half_integral_log(
 
     Integrand (with u = 1 - r):
         |x - r y|^a * u^{-(n+a+2)/2} * exp(-c[(r - r0)^2 |x|^2 + |y_perp|^2]/u)
-    restricted to the requested region of r relative to the peak at r0.
+    restricted to the piece's interval (lo, hi] of u.  Below the peak
+    (s = 1 - r0 > 0) edge is (0, s/2], near (s/2, 3s/2] and mid the rest;
+    past it mid is u > 1.5 (r0 - 1), edge the rest and near is empty.  A row
+    whose piece meets no panel of the rule is -inf.
     """
     if piece not in ("full", "near", "mid", "edge"):
         raise ValueError(f"unknown piece {piece!r}")
     n = X.shape[1]
     r0, yperp_sq, _, _ = _polar_batch(X, Y)
-    u = _U_NODES[None, :]
-    r = 1.0 - u
+    s = 1.0 - r0
+    cut = np.where(s > 0.0, 0.5 * s, -1.5 * s)
+    top = np.where(s > 0.0, 1.5 * s, cut)
+    zero, inf = np.zeros_like(s), np.full_like(s, np.inf)
+    pieces = {"full": (zero, inf), "edge": (zero, cut), "near": (cut, top), "mid": (top, inf)}
+    lo, hi = pieces[piece]
 
-    def terms(x2, xy, y2, r0, yperp_sq):
+    def terms(nodes, x2, xy, y2, r0, yperp_sq, lo, hi):
+        u, logw = nodes
+        r = 1.0 - u
         expo = -_EXPONENT_C * ((r - r0) ** 2 * x2 + yperp_sq) / u
-        out = expo - 0.5 * (n + a + 2) * np.log(u) + _U_LOGW[None, :]
+        out = expo - 0.5 * (n + a + 2) * np.log(u) + logw
         if a > 0:
             out = out + _log_dist_power(a, r, x2, xy, y2)
-        if piece == "full":
-            return out
-        below = r0 < 1.0
-        s = 1.0 - r0
-        mid_hi = ~below & (u > 1.5 * (r0 - 1.0))
-        if piece == "near":
-            mask = below & (np.abs(r - r0) < 0.5 * s)
-        elif piece == "mid":
-            mask = (below & (r < 0.5 * (3.0 * r0 - 1.0))) | mid_hi
-        else:
-            mask = (below & (u <= 0.5 * s)) | (~below & ~mid_hi)
-        return np.where(mask, out, -np.inf)
+        return out if piece == "full" else np.where((u > lo) & (u <= hi), out, -np.inf)
 
-    return _rule_integral_log(X, Y, u.size, terms, r0, yperp_sq)
+    # the panels that meet (lo, hi]
+    first = np.maximum(np.searchsorted(_U_EDGES, lo, side="right") - 1, 0)
+    end = np.where(lo < hi, np.searchsorted(_U_EDGES[:-1], hi), first)
+    return _rule_integral_log(X, Y, _U_RULE, terms, r0, yperp_sq, lo, hi, span=(first, end))
 
 
 def lemma_kernel_batch(delta: float, x, Y) -> np.ndarray:
@@ -380,15 +428,18 @@ def near_diagonal_profile_integral(mu: float, nu: float, X, Y) -> np.ndarray:
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     n = X.shape[1]
     r = np.concatenate([_R_NODES, 1.0 - _U_NODES])
-    logw = np.concatenate([_R_LOGW, _U_LOGW])
-    s2 = (1.0 - r) * (1.0 + r)
+    rule = (
+        np.concatenate([[0], _R_NODES.size + _U_RULE[0]]),
+        (r, (1.0 - r) * (1.0 + r), np.concatenate([_R_LOGW, _U_LOGW])),
+    )
 
-    def terms(x2, xy, y2):
+    def terms(nodes, x2, xy, y2):
+        r, s2, logw = nodes
         xry = np.maximum(x2 - 2.0 * r * xy + r * r * y2, 0.0)
         out = -0.5 * (n + mu) * np.log(s2) - xry / s2 + logw
         return out + _log_dist_power(nu, r, x2, xy, y2) if nu != 0.0 else out
 
-    return _rule_integral_log(X, Y, r.size, terms)
+    return _rule_integral_log(X, Y, rule, terms)
 
 
 # --------------------------------------------------------------------------

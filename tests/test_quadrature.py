@@ -9,7 +9,7 @@ import pytest
 import rieszlab.weaktype as wt
 from rieszlab.geometry import MultiIndex
 from rieszlab.kernels import riesz_kernel
-from rieszlab.quadrature import gauss_legendre
+from rieszlab.quadrature import _leggauss, gauss_legendre
 
 
 def test_info_reports_effort():
@@ -41,6 +41,24 @@ def test_builder_weights_sum_to_span():
         _, weights = gauss_legendre(edges, order)
         assert np.all(weights > 0.0)
         assert math.fsum(weights) == pytest.approx(40.0, rel=1e-14)
+
+
+def test_builder_caches_the_reference_rule_read_only():
+    # the [-1, 1] rule is computed once per order and shared, so it is
+    # read-only, while what the builder returns belongs to the caller
+    edges = np.array([0.0, 0.5, 2.0])
+    nodes, weights = gauss_legendre(edges, 12)
+    x, w = np.polynomial.legendre.leggauss(12)
+    np.testing.assert_array_equal(nodes, np.concatenate([0.25 + 0.25 * x, 1.25 + 0.75 * x]))
+    np.testing.assert_array_equal(weights, np.concatenate([0.25 * w, 0.75 * w]))
+    assert _leggauss(12) is _leggauss(12)
+    with pytest.raises(ValueError):
+        _leggauss(12)[0][0] = 0.0
+    nodes[:] = 0.0
+    weights[:] = 0.0
+    again = gauss_legendre(edges, 12)
+    np.testing.assert_array_equal(again[0], np.concatenate([0.25 + 0.25 * x, 1.25 + 0.75 * x]))
+    np.testing.assert_array_equal(again[1], np.concatenate([0.25 * w, 0.75 * w]))
 
 
 def test_second_half_panels_unchanged():

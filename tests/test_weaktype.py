@@ -250,9 +250,11 @@ class TestLemmaKernels:
             np.testing.assert_allclose(rows, single, rtol=1e-13, atol=1e-13)
 
     def test_sweep_integrals_identical_across_row_blocks(self):
-        # the sweep integrals run in cache-sized row blocks (256, 29 and 26
-        # rows at 64, 552 and 616 nodes); every operation is row-local, so a
-        # multi-block call gives each row the bits of its own one-row call
+        # the sweep integrals run rows sorted by window in blocks of the
+        # windows' union, half the kernel's pair-node budget (256 rows of the
+        # 64-node rule, at least 29 and 26 of the 552- and 616-node rules);
+        # nodes outside a row's own window are exact zeros, so a multi-block
+        # call gives each row the bits of its own one-row call
         rng = np.random.default_rng(13)
         for n in (1, 2):
             X = rng.normal(size=(600, n)) * 2.0
@@ -344,6 +346,126 @@ class TestProfileAndBlocks:
         X, Y = self.peak_rows([1.0, 1.5], [0.0, 0.0])
         for block in (wt._log_block_a, wt._log_block_b):
             assert np.all(block(1, X, Y) == -math.inf)
+
+
+def _second_half_whole_rule(a, X, Y, piece):
+    # every node of the 552-node rule, masked as the pieces read in r, summed
+    # as plain floats under each row's largest term
+    n = X.shape[1]
+    x2, xy, y2 = (np.sum(P * Q, axis=1)[:, None] for P, Q in ((X, X), (X, Y), (Y, Y)))
+    r0 = xy / x2
+    s = 1.0 - r0
+    u = wt._U_NODES[None, :]
+    r = 1.0 - u
+    logs = -0.5 * ((r - r0) ** 2 * x2 + np.maximum(y2 - r0 * r0 * x2, 0.0)) / u
+    logs = logs - 0.5 * (n + a + 2) * np.log(u) + wt._U_LOGW
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if a:
+            logs = logs + 0.5 * a * np.log(np.maximum(x2 - 2.0 * r * xy + r * r * y2, 0.0))
+        inside = {
+            "full": np.ones(logs.shape, dtype=bool),
+            "near": (s > 0.0) & (np.abs(r - r0) < 0.5 * s),
+            "mid": np.where(s > 0.0, r < 0.5 * (3.0 * r0 - 1.0), u > 1.5 * (r0 - 1.0)),
+            "edge": np.where(s > 0.0, u <= 0.5 * s, u <= 1.5 * (r0 - 1.0)),
+        }[piece]
+        logs = np.where(inside, logs, -np.inf)
+        top = logs.max(axis=1)
+        top = np.where(np.isfinite(top), top, 0.0)
+        return np.log(np.exp(logs - top[:, None]).sum(axis=1)) + top
+
+
+def _second_half_quad(a, x, y):
+    # QUADPACK in t = log u over the rule's span (2^-47, 1/2), the integrand
+    # shifted by its largest value on a grid, with breakpoints around it
+    n = x.size
+    x2, xy, y2 = x @ x, x @ y, y @ y
+    r0 = xy / x2
+    yperp_sq = max(y2 - r0 * r0 * x2, 0.0)
+
+    def log_f(t):
+        u = math.exp(t)
+        r = 1.0 - u
+        out = -0.5 * ((r - r0) ** 2 * x2 + yperp_sq) / u - 0.5 * (n + a) * t
+        return out + 0.5 * a * math.log(x2 - 2.0 * r * xy + r * r * y2) if a else out
+
+    lo, hi = -47.0 * math.log(2.0), math.log(0.5)
+    grid = np.linspace(lo, hi, 2001)
+    logs = [log_f(t) for t in grid]
+    peak, shift = grid[int(np.argmax(logs))], max(logs)
+    offsets = np.array([-4.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+    points = [p for p in peak + offsets if lo < p < hi]
+    value, _ = quad(
+        lambda t: math.exp(log_f(t) - shift),
+        lo,
+        hi,
+        points=points,
+        limit=400,
+        epsabs=0.0,
+        epsrel=2e-14,
+    )
+    return math.log(value) + shift
+
+
+class TestSecondHalfWindow:
+    def test_window_matches_whole_rule_on_sweep_rows(self):
+        # the rows that case-2.2, case-2.3.1-2.3.3 and decomposition draw at
+        # count 384, seed 7: case i of an entry draws 2 * 384 * factor rows
+        # from the stream [7, i]; the per-a entries' case i has a = i, and
+        # decomposition's one case takes a = 0..3
+        per_a = [(i, (i,)) for i in range(3)]
+        entries = (
+            ("peak-high", "full", 16, per_a),
+            ("peak-below-1", "near", 1, per_a),
+            ("peak-around-1", "mid", 4, per_a),
+            ("peak-around-1", "edge", 4, per_a),
+            ("global", "full", 1, [(0, (0, 1, 2, 3))]),
+        )
+        empty = dict.fromkeys(("near", "mid", "edge"), 0)
+        for sampler, piece, factor, cases in entries:
+            for stream, a_values in cases:
+                X, Y = REGISTRY_SAMPLERS[sampler](np.random.default_rng([7, stream]), 768 * factor)
+                for a in a_values:
+                    got = wt._second_half_integral_log(a, X, Y, piece)
+                    want = np.concatenate(
+                        [
+                            _second_half_whole_rule(a, X[b], Y[b], piece)
+                            for b in np.array_split(np.arange(len(X)), len(X) // 1024 + 1)
+                        ]
+                    )
+                    assert np.array_equal(got == -np.inf, want == -np.inf)
+                    live = want > -np.inf
+                    assert np.max(np.abs(got[live] - want[live])) <= 1e-13
+                    if piece in empty:
+                        empty[piece] += int(np.sum(~live))
+        # the mid piece is empty for r0 > 4/3 and r0 < 2/3, as near is past the peak
+        assert empty["mid"] > 1000 and empty["near"] == 0
+
+    def test_full_rule_matches_quad_oracle(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2):
+            X, Y = wt._sampler_peak(n, _THIRD, 0.99)(rng, 16)
+            for a in (0, 1, 2):
+                got = wt._second_half_integral_log(a, X, Y)
+                want = [_second_half_quad(a, x, y) for x, y in zip(X, Y)]
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=5e-13)
+
+    def test_non_finite_rows_rejected(self):
+        # a NaN or inf row would read as ratio 0 in a sweep, or corrupt a window
+        X = np.array([[1.0, 0.1], [1.5, 0.2]])
+        Y = np.array([[0.9, 0.2], [1.2, 0.1]])
+        integrals = [
+            _first_half(1),
+            _second_half(1),
+            _second_half(0, "mid"),
+            partial(wt.near_diagonal_profile_integral, 1.5, 0.5),
+        ]
+        for bad in (math.nan, math.inf, -math.inf):
+            for which in (0, 1):
+                P, Q = X.copy(), Y.copy()
+                (P, Q)[which][1, 0] = bad
+                for integral in integrals:
+                    with pytest.raises(ValueError):
+                        integral(P, Q)
 
 
 class TestBoundRatioSweep:

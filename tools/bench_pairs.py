@@ -2,7 +2,7 @@
 
     python3 tools/bench_pairs.py --out BENCH_16.json --pairs 10 \
         --workload growth --workload pv [--parent HEAD] [--seed 1] [--seconds 25] \
-        [--tube-tf] [--outputs] [--tier1]
+        [--tube-tf] [--outputs] [--tier1] [--traced W ...]
 
 The change is this checkout, working tree included; the parent is the commit
 `--parent` (default HEAD), exported with `git archive` to a temporary
@@ -23,7 +23,9 @@ written, as `src_lines`):
   --outputs  sha256 of the `pv` round's 44 values (float64 bytes) and of a
              `verify` round's CLI text (UTF-8) at the seed;
   --tier1    the tier-1 test run (`pytest -q -rA`): its summary line and the
-             seconds that acceptance check 6 (growth-dichotomy) reports.
+             seconds that acceptance check 6 (growth-dichotomy) reports;
+  --traced W the per-layer metrics of one traced round of workload W
+             (`bench/run.py --workload W --seed S --seconds 0 --trace 1`).
 """
 
 from __future__ import annotations
@@ -59,9 +61,9 @@ def export(rev: str, dest: str) -> str:
     return sha
 
 
-def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
+def run_once(root: str, workload: str, seed: int, seconds: float, trace: bool = False) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed)]
-    cmd += ["--seconds", f"{seconds:g}"]
+    cmd += ["--seconds", f"{seconds:g}", "--trace", str(int(trace))]
     done = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if done.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {root} exited {done.returncode}: {done.stderr}")
@@ -156,7 +158,9 @@ def tier1(root: str) -> dict:
     return {"summary": lines[-1], "check6_s": int(check6[0]) if check6 else None}
 
 
-def side_extras(roots: dict, seed: int, tube_tf: bool, outputs: bool, tier: bool) -> dict:
+def side_extras(
+    roots: dict, seed: int, tube_tf: bool, outputs: bool, tier: bool, traced: list
+) -> dict:
     """The size of src/ and the requested per-side figures; the parent goes
     first, then the change, and timed figures get a second round in the
     other order."""
@@ -176,6 +180,12 @@ def side_extras(roots: dict, seed: int, tube_tf: bool, outputs: bool, tier: bool
         }
     if tier:
         out["tier1"] = {side: tier1(roots[side]) for side in SIDES}
+    for workload in traced:
+        rounds = {side: run_once(roots[side], workload, seed, 0, True) for side in SIDES}
+        out[f"traced_{workload}_round"] = {
+            side: {name: m["value"] for name, m in rounds[side]["metrics"].items()}
+            for side in SIDES
+        }
     return out
 
 
@@ -204,6 +214,8 @@ def main(argv=None) -> int:
     parser.add_argument("--tube-tf", action="store_true", help="time _tube_tf_logs per side")
     parser.add_argument("--outputs", action="store_true", help="hash pv and verify outputs")
     parser.add_argument("--tier1", action="store_true", help="run tier-1 per side")
+    parser.add_argument("--traced", action="append", default=[],
+                        choices=("growth", "pv", "verify"), help="one traced round per side")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -222,7 +234,9 @@ def main(argv=None) -> int:
                 w: bench_workload(roots, w, args.pairs, args.seed, args.seconds)
                 for w in args.workload
             },
-            **side_extras(roots, args.seed, args.tube_tf, args.outputs, args.tier1),
+            **side_extras(
+                roots, args.seed, args.tube_tf, args.outputs, args.tier1, args.traced
+            ),
         }
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
