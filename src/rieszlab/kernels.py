@@ -337,12 +337,9 @@ def _riesz_batch(alpha, X, Y, lower: int | None):
     with np.errstate(over="ignore", invalid="ignore"):
         for chunk in _row_blocks(len(X), nodes // _SEGMENT):
             lo, hi = _windows(rule, X[chunk], Y[chunk])
-            # by window, so that most blocks compute no node outside one
-            by_window = np.lexsort((hi, lo))
-            rows, lo, hi = chunk.start + by_window, lo[by_window], hi[by_window]
-            for b in _row_blocks(rows.size, (hi.max() - lo.min()) * _SEGMENT):
-                i = rows[b]
-                sums[:, i] = _window_sums(hermite, rule, X[i], Y[i], lo[b], hi[b], bufs)
+            rows = np.arange(chunk.start, chunk.stop)
+            for i, lo_i, hi_i in _window_blocks(rows, lo, hi, np.arange(0, nodes + 1, _SEGMENT)):
+                sums[:, i] = _window_sums(hermite, rule, X[i], Y[i], lo_i, hi_i, bufs)
         total, shift, top = sums
         redo = np.flatnonzero(np.abs(total) < math.exp(-_GUARD) * top)
         whole = np.array([0]), np.array([nodes // _SEGMENT])
@@ -364,10 +361,28 @@ def _windows(rule, X, Y) -> tuple[np.ndarray, np.ndarray]:
         u = (xj - r[mid, None] * yj) * inv_s[mid, None]
         g += u * u
     np.subtract(logw[mid, None], g, out=g)
+    return _live_panels(g)
+
+
+def _live_panels(g) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) per column of probes g (panels in order, rows): panels
+    lo..hi-1 hold every probe within e^-_WINDOW_CUT of the column's
+    largest, plus one on each side; all panels if no probe is finite."""
     live = g >= g.max(axis=0) - _WINDOW_CUT
     lo = np.maximum(live.argmax(axis=0) - 1, 0)
     hi = np.minimum(len(g) + 1 - live[::-1].argmax(axis=0), len(g))
     return lo, hi
+
+
+def _window_blocks(rows, lo, hi, cuts, pair_nodes: int | None = None):
+    """(rows, lo, hi) per block of the rows sorted by window, so that most
+    blocks compute no node outside one, at about pair_nodes (by default
+    _BLOCK_PAIR_NODES) pair-nodes of their windows' union (panels of cuts)."""
+    by_window = np.lexsort((hi, lo))
+    rows, lo, hi = rows[by_window], lo[by_window], hi[by_window]
+    union = int(cuts[hi.max()] - cuts[lo.min()])
+    blocks = _row_blocks(rows.size, union, max(1, (pair_nodes or _BLOCK_PAIR_NODES) // union))
+    return [(rows[b], lo[b], hi[b]) for b in blocks]
 
 
 def _window_sums(hermite, rule, X, Y, lo, hi, bufs):
@@ -393,22 +408,30 @@ def _window_sums(hermite, rule, X, Y, lo, hi, bufs):
             h = hv if h is None else np.multiply(h, hv, out=h)
     np.square(u, out=u)
     np.subtract(logw[nodes], u.sum(axis=0, out=g), out=g)
-    # the nodes of the union outside a row's window count as dead
-    outside = (np.arange(first, last) < lo[:, None]) | (np.arange(first, last) >= hi[:, None])
-    if outside.any():
-        np.copyto(g.reshape(b, -1, _SEGMENT), -np.inf, where=outside[:, :, None])
+    total, shift = _panel_sums(g, np.arange(0, r.size + 1, _SEGMENT), lo, hi, dead, h)
+    if not np.isfinite(total).all():
+        raise ValueError(f"Hermite factor of order {sum(hermite)} overflows at a live node")
+    return total, shift, np.maximum(g.max(axis=1), -g.min(axis=1))
+
+
+def _panel_sums(g, cuts, lo, hi, dead=None, h=None):
+    """(sum, shift) per row of the terms e^g (times h) over panels lo..hi-1
+    of `cuts`, g holding the windows' union; g becomes the terms / e^shift.
+    Terms outside a row's window or with g - shift < -NEGLIGIBLE_LOGMAG
+    are exactly 0 (the clip keeps exp off its slow underflow range), and
+    panel sums are added in order, so those zeros change no bit."""
+    first, last = int(lo.min()), int(hi.max())
+    if lo.max() > first or hi.min() < last:
+        panels = np.arange(first, last)
+        outside = (panels < lo[:, None]) | (panels >= hi[:, None])
+        np.copyto(g, -np.inf, where=np.repeat(outside, np.diff(cuts[first : last + 1]), axis=1))
     shift = g.max(axis=1)
+    shift[shift == -np.inf] = 0.0
     g -= shift[:, None]
-    # term = exp(g) * H at live nodes, g >= -NEGLIGIBLE_LOGMAG, and exactly
-    # 0 at dead ones; the clip keeps exp off its slow underflow range
-    np.less(g, -NEGLIGIBLE_LOGMAG, out=dead)
+    dead = np.less(g, -NEGLIGIBLE_LOGMAG, out=dead)
     np.maximum(g, -NEGLIGIBLE_LOGMAG, out=g)
     np.exp(g, out=g)
     if h is not None:
         g *= h
     np.copyto(g, 0.0, where=dead)
-    # segment sums added in order: the zeros outside a window change no bit
-    total = np.add.reduceat(g, np.arange(0, g.shape[1], _SEGMENT), axis=1).cumsum(axis=1)[:, -1]
-    if not np.isfinite(total).all():
-        raise ValueError(f"Hermite factor of order {sum(hermite)} overflows at a live node")
-    return total, shift, np.maximum(g.max(axis=1), -g.min(axis=1))
+    return np.add.reduceat(g, cuts[first:last] - cuts[first], axis=1).cumsum(axis=1)[:, -1], shift

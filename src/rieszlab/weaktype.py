@@ -24,8 +24,9 @@ from scipy import special
 
 from rieszlab.apply import _finite_positive, _kernel_sums_log
 from rieszlab.geometry import MultiIndex
-from rieszlab.kernels import _WINDOW_CUT, _row_blocks, riesz_kernel_batch
-from rieszlab.logscaled import NEGLIGIBLE_LOGMAG, LogScaled, signed_logsumexp
+from rieszlab.kernels import _BLOCK_PAIR_NODES, _live_panels, _panel_sums, _row_blocks
+from rieszlab.kernels import _window_blocks, riesz_kernel_batch
+from rieszlab.logscaled import LogScaled, signed_logsumexp
 from rieszlab.quadrature import gauss_legendre
 from rieszlab.regions import (
     _draw_pairs,
@@ -277,20 +278,16 @@ _U_RULE = (np.arange(0, _U_NODES.size + 1, 12), (_U_NODES, _U_LOGW))
 
 def _rule_integral_log(X, Y, rule, terms, *per_row, span=None) -> np.ndarray:
     """log of sum_k e^{terms[:, k]} for each pair row, over the row's live
-    window of the rule's panels.
+    window of the rule's panels, as the batch kernel sums its rule.
 
     rule = (cuts, nodes): panel j holds nodes cuts[j]..cuts[j+1]-1 of each
-    array in nodes.  terms(nodes, x2, xy, y2, *per_row) maps (1, k) node rows
-    and (rows, 1) columns (|x|^2, x.y, |y|^2, then each per-row array) to
-    (rows, k) log terms.  span = (first, end), if given, bounds each row to
-    panels first..end-1; a row with none is -inf and evaluates no node.  As
-    in `kernels._windows`, a row keeps the panels whose middle-node term is
-    within e^-_WINDOW_CUT of its largest, plus one on each side, inside its
-    span (all of it when no probe is finite).  Rows sorted by window go in
-    blocks of their windows' union at half the kernel's pair-node budget,
-    as terms allocates a fresh array per operation.  Nodes outside a row's
-    window are exact zeros and panel sums are added in order, so no value
-    depends on a row's block-mates.  Non-finite X or Y raises ValueError.
+    array in nodes, the panels in order along the integration variable.
+    terms(nodes, x2, xy, y2, *per_row) maps (1, k) node rows and (rows, 1)
+    columns (|x|^2, x.y, |y|^2, then each per-row array) to (rows, k) log
+    terms.  span = (first, end), if given, bounds each row's window to
+    panels first..end-1; a row with none is -inf and evaluates no node.
+    Blocks hold half the kernel's pair-node budget, as terms allocates a
+    fresh array per operation.  Non-finite X or Y raises ValueError.
     """
     cuts, nodes = rule
     panels = cuts.size - 1
@@ -301,37 +298,14 @@ def _rule_integral_log(X, Y, rule, terms, *per_row, span=None) -> np.ndarray:
     rows = np.flatnonzero(first < end)
     for chunk in _row_blocks(rows.size, panels):
         i = rows[chunk]
-        g = terms(probes, *(v[i] for v in cols))
-        # every panel of a row with no finite probe counts as live
-        live = g >= g.max(axis=1, keepdims=True) - _WINDOW_CUT
-        lo = np.maximum(live.argmax(axis=1) - 1, first[i])
-        hi = np.minimum(panels + 1 - live[:, ::-1].argmax(axis=1), end[i])
-        by_window = np.lexsort((hi, lo))
-        i, lo, hi = i[by_window], lo[by_window], hi[by_window]
-        for b in _row_blocks(i.size, 2 * (cuts[hi.max()] - cuts[lo.min()])):
-            out[i[b]] = _window_log_sum(rule, terms, [v[i[b]] for v in cols], lo[b], hi[b])
+        lo, hi = _live_panels(terms(probes, *(v[i] for v in cols)).T)
+        lo, hi = np.maximum(lo, first[i]), np.minimum(hi, end[i])
+        for b, lo_b, hi_b in _window_blocks(i, lo, hi, cuts, _BLOCK_PAIR_NODES // 2):
+            union = tuple(v[None, cuts[lo_b.min()] : cuts[hi_b.max()]] for v in nodes)
+            total, shift = _panel_sums(terms(union, *(v[b] for v in cols)), cuts, lo_b, hi_b)
+            with np.errstate(divide="ignore"):
+                out[b] = np.log(total) + shift
     return out
-
-
-def _window_log_sum(rule, terms, cols, lo, hi) -> np.ndarray:
-    """log of the sum of e^terms per row over its panels lo..hi-1."""
-    cuts, nodes = rule
-    first, last = int(lo.min()), int(hi.max())
-    g = terms(tuple(v[None, cuts[first] : cuts[last]] for v in nodes), *cols)
-    if lo.max() > first or hi.min() < last:  # some row's window is narrower than the union
-        panel = np.repeat(np.arange(first, last), np.diff(cuts[first : last + 1]))
-        np.copyto(g, -np.inf, where=(panel < lo[:, None]) | (panel >= hi[:, None]))
-    shift = g.max(axis=1)
-    shift[shift == -np.inf] = 0.0  # a row with no finite term sums to 0
-    g -= shift[:, None]
-    kept = g >= -NEGLIGIBLE_LOGMAG
-    np.maximum(g, -NEGLIGIBLE_LOGMAG, out=g)
-    np.exp(g, out=g)
-    g *= kept
-    # panel sums added in order: the zeros outside a window change no bit
-    total = np.add.reduceat(g, cuts[first:last] - cuts[first], axis=1).cumsum(axis=1)[:, -1]
-    with np.errstate(divide="ignore"):
-        return np.log(total) + shift
 
 
 def _log_dist_power(a: float, r: np.ndarray, x2, xy, y2) -> np.ndarray:
@@ -427,10 +401,11 @@ def near_diagonal_profile_integral(mu: float, nu: float, X, Y) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     n = X.shape[1]
-    r = np.concatenate([_R_NODES, 1.0 - _U_NODES])
+    # in r order, so that the r < 1/2 panel neighbours the u < 1/2 panel
+    r = np.concatenate([_R_NODES, 1.0 - _U_NODES[::-1]])
     rule = (
         np.concatenate([[0], _R_NODES.size + _U_RULE[0]]),
-        (r, (1.0 - r) * (1.0 + r), np.concatenate([_R_LOGW, _U_LOGW])),
+        (r, (1.0 - r) * (1.0 + r), np.concatenate([_R_LOGW, _U_LOGW[::-1]])),
     )
 
     def terms(nodes, x2, xy, y2):

@@ -311,6 +311,31 @@ class TestProfileAndBlocks:
         want, _ = quad(integrand, 0.0, 1.0, epsrel=1e-12, limit=300)
         assert abs(math.exp(got) - want) <= 1e-9 * want
 
+    def test_near_diagonal_window_matches_whole_rule(self):
+        # peaks r* = x.y/|y|^2 near 1/2 with |y| from 30 to 60 put the top
+        # probe in the r in (1/2, 3/4) panel and the mass in the r < 1/2
+        # panel, which the window keeps only if the two panels neighbour;
+        # the first row is (x, y) = (19.6, 40), r* = 0.49
+        rng = np.random.default_rng(17)
+        for n in (1, 2):
+            norms, peaks = rng.uniform(30.0, 60.0, 200), rng.uniform(0.45, 0.55, 200)
+            Y = rng.normal(size=(200, n))
+            Y *= (norms / np.linalg.norm(Y, axis=1))[:, None]
+            X = peaks[:, None] * Y + 0.1 * rng.normal(size=(200, n)) * (n > 1)
+            X[0], Y[0] = 19.6, 40.0
+            # every node of the 616-node rule, |x - r y|^2 from the row dots
+            r = np.concatenate([wt._R_NODES, 1.0 - wt._U_NODES])
+            logw = np.concatenate([wt._R_LOGW, wt._U_LOGW])
+            x2, xy, y2 = (np.sum(P * Q, axis=1)[:, None] for P, Q in ((X, X), (X, Y), (Y, Y)))
+            d2 = np.maximum(x2 - 2.0 * r * xy + r * r * y2, 0.0)
+            s2 = (1.0 - r) * (1.0 + r)
+            for mu, nu in ((3.0, 0.0), (1.0, 0.5), (1.5, 2.0)):
+                got = wt.near_diagonal_profile_integral(mu, nu, X, Y)
+                logs = -0.5 * (n + mu) * np.log(s2) - d2 / s2 + logw + 0.5 * nu * np.log(d2)
+                top = logs.max(axis=1)
+                want = np.log(np.exp(logs - top[:, None]).sum(axis=1)) + top
+                assert np.max(np.abs(got - want)) <= 1e-13
+
     def test_window_integral_matches_quadrature(self):
         x_norm, r0 = 2.2, 0.6
         got = wt.window_gaussian_integral_log(x_norm, r0)
