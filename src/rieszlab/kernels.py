@@ -9,11 +9,16 @@ The Riesz kernel of order alpha is the one-dimensional integral
 with c_alpha = (-1)^|alpha| / (Gamma(|alpha|/2) pi^{n/2}).  `riesz_kernel`
 evaluates one pair by adaptive quadrature with an error estimate;
 `riesz_kernel_batch` evaluates many pairs on a fixed composite rule,
-sorted by r and cut into 16-node segments.  Probing g = log weight - |u|^2
-at each segment's middle node, it sums as floats only the segments within
-e^-40 of a pair's largest probe, plus one on each side, shifted by the
-largest g there; terms more than 700 below the shift are exactly 0 (so exp
-never sees its slow underflow range).  Segment sums are added in order, so
+sorted by r and cut into 16-node segments.  With d = x - y and w = 1 - r
+from the rule's own nodes, u = (d + w y)/s for s = sqrt(1 - r^2), and a
+block's exponents g = log weight - |u|^2 are one matrix product:
+[1, |d|^2, d.y, |y|^2] per pair times [log weight, -1/s^2, -2/(1+r),
+-w/(1+r)] per node, as w/s^2 = 1/(1+r).  That g is within 1.2e-12 of a
+long-double one on the live nodes of tube and near-diagonal pairs.
+Probing g at each segment's middle node, it sums as floats only the
+segments within e^-40 of a pair's largest probe, plus one on each side,
+shifted by the largest g there; terms more than 700 below the shift are
+exactly 0 (so exp never sees its slow underflow range).  Segment sums are added in order, so
 a value reads only its own window; one that cancels below e^-20 of its
 largest term is summed again over the whole rule.  The same body gives the
 boundary form of a ball integral (`_riesz_batch` with lower = j): Hermite
@@ -221,11 +226,11 @@ def _row_blocks(m: int, nodes: int, rows: int | None = None) -> list[slice]:
     return [slice(start, min(start + rows, m)) for start in range(0, m, rows)]
 
 
-@lru_cache(maxsize=32)
-def _batch_rule(n: int, order: int, lowered: bool = False):
-    """Composite nodes (r, 1/sqrt(1-r^2), log weight incl. all r-factors),
-    three arrays by increasing r; `lowered` multiplies every weight by
-    sqrt(1-r^2)/r, the r-factor of the boundary form."""
+def _rule_nodes(n: int, order: int, lowered: bool):
+    """Composite nodes by increasing r: (r, w = 1 - r, s^2 = 1 - r^2, log
+    weight incl. all r-factors), w and s^2 from the rule's own t and v, never
+    from 1 - r; `lowered` multiplies every weight by s/r, the r-factor of the
+    boundary form."""
     t, w_t = gauss_legendre(_T_EDGES, _BATCH_ORDER)
     v, w_v = gauss_legendre(_V_EDGES, _BATCH_ORDER)
     # t = -log r toward r = 0, v = -log(1 - r) toward r = 1
@@ -246,12 +251,57 @@ def _batch_rule(n: int, order: int, lowered: bool = False):
     )
     # r falls along the t nodes and rises along the v nodes
     r = np.concatenate((r_t[::-1], r_v))
+    w = np.concatenate((-np.expm1(-t)[::-1], np.exp(-v)))
     one_m_r2 = np.concatenate((one_m_r2_t[::-1], one_m_r2_v))
     logw = np.concatenate(((log_t + np.log(w_t))[::-1], log_v + np.log(w_v)))
     if lowered:
         # from the rule's own 1 - r^2: log1p(-r^2) is -inf where r rounds to 1
         logw += 0.5 * np.log(one_m_r2) - np.log(r)
+    return r, w, one_m_r2, logw
+
+
+@lru_cache(maxsize=32)
+def _batch_rule(n: int, order: int, lowered: bool = False):
+    """Composite nodes (r, 1/sqrt(1-r^2), log weight incl. all r-factors),
+    three arrays by increasing r; `lowered` multiplies every weight by
+    sqrt(1-r^2)/r, the r-factor of the boundary form."""
+    r, _, one_m_r2, logw = _rule_nodes(n, order, lowered)
     return r, 1.0 / np.sqrt(one_m_r2), logw
+
+
+@lru_cache(maxsize=32)
+def _exponent_rule(n: int, order: int, lowered: bool = False):
+    """(C, S), read-only, one column per node of `_rule_nodes`: with
+    d = x - y, w = 1 - r and s = sqrt(1 - r^2), and as w/s^2 = 1/(1 + r),
+
+      g = log weight - |d + w y|^2/s^2 = [1, |d|^2, d.y, |y|^2] @ C,
+      C = [log weight, -1/s^2, -2/(1 + r), -w/(1 + r)],
+      u_j = (d_j + w y_j)/s = [d_j, y_j] @ S,  S = [1/s, w/s]."""
+    r, w, one_m_r2, logw = _rule_nodes(n, order, lowered)
+    inv_s = 1.0 / np.sqrt(one_m_r2)
+    C = np.array([logw, -1.0 / one_m_r2, -2.0 / (1.0 + r), -w / (1.0 + r)])
+    S = np.array([inv_s, w * inv_s])
+    C.flags.writeable = S.flags.writeable = False
+    return C, S
+
+
+def _features(X, Y) -> np.ndarray:
+    """Rows [1, |d|^2, d.y, |y|^2] per pair, d = x - y: g = F @ C."""
+    D = X - Y
+    F = np.ones((len(X), 4))
+    for col, (a, b) in enumerate(((D, D), (D, Y), (Y, Y)), 1):
+        F[:, col] = (a * b).sum(axis=1)
+    return F
+
+
+def _matmul(a, b, out) -> np.ndarray:
+    """out = a @ b, with every row's bits those of gemm whatever its
+    block-mates: numpy sends a one-row product to gemv, whose bits differ,
+    so a lone row goes in twice."""
+    if len(a) == 1:
+        out[:] = np.matmul(np.repeat(a, 2, axis=0), b)[:1]
+        return out
+    return np.matmul(a, b, out=out)
 
 
 def _hermite_batch(k: int, u: np.ndarray) -> np.ndarray:
@@ -282,12 +332,26 @@ def riesz_kernel_batch(
     (signs, logmags) arrays of shape (m,).  Errors are relative to the
     prefactor times the integral of |integrand|.  Against `riesz_kernel`
     on 160 seeded pairs (n = 1 and 2, orders 1-5, |x| from 0.2 to 8,
-    separations log-uniform from 1e-3 to 1e-1) the error is at most 3e-7;
-    it peaks near separation 3e-3, not at 1e-3.  Against the 30-digit
-    mpmath references of `bench/oracle_pairs.json` (48 seeded n = 2 pairs,
-    orders 1-4) it is at most 2.9e-7 down to separation 2.3e-4; below
-    that the fixed rule is unconverged, with 18 of 25 pairs off by more
-    than 1e-6 and the worst by 3.1e-4 (alpha (2,2) at separation 3.8e-5).
+    separations log-uniform from 1e-3 to 1e-1) the error is at most 8.5e-8
+    (tested at 3e-7); it peaks near separation 3e-3, not at 1e-3.  Against
+    the 30-digit mpmath references of `bench/oracle_pairs.json` (48 seeded
+    n = 2 pairs, orders 1-4) it is at most 2.9e-7 down to separation
+    2.3e-4; below that the fixed rule is unconverged, with 18 of 25 pairs
+    off by more than 1e-6 and the worst by 3.1e-4 (alpha (2,2) at
+    separation 3.8e-5).
+    These figures are the rule's own: forming the exponent as a product
+    (below) moved the 160-pair worst by 3e-15 and no oracle error by more
+    than 4.7e-10.
+
+    A block's exponents are one product F @ C: F = [1, |d|^2, d.y, |y|^2]
+    per pair (d = x - y), C = [log weight, -1/s^2, -2/(1+r), -w/(1+r)] per
+    node, with w = 1 - r and s^2 = 1 - r^2 from the rule's own nodes, never
+    from 1 - r (`_exponent_rule`).  That is g = log weight - |d + w y|^2/s^2
+    to a few ulps of its largest term, 1.2e-12 at most on the live nodes of
+    tube and near-diagonal pairs against a long-double g.  The Hermite
+    arguments u_j = [d_j, y_j] @ [1/s, w/s] are formed only where alpha_j
+    >= 1.  A lone row goes into the product twice, as numpy's one-row
+    product (gemv) rounds otherwise than gemm.
 
     Each pair sums, as floats, only its window of the r-sorted rule: the
     _SEGMENT-node segments whose middle-node g = log weight - |u|^2 is
@@ -327,8 +391,13 @@ def _riesz_batch(alpha, X, Y, lower: int | None):
     hermite = list(alpha)
     if lower is not None:
         hermite[lower] -= 1
-    rule = _batch_rule(n, order, lower is not None)
-    nodes = rule[0].size
+    rule = _exponent_rule(n, order, lower is not None)
+    nodes = rule[0].shape[1]
+    feats = _features(X, Y)
+    # (d_j, y_j) of every row, per coordinate j with a Hermite factor
+    js = [j for j, k in enumerate(hermite) if k]
+    ks = [hermite[j] for j in js]
+    args = np.stack(((X - Y)[:, js].T, Y[:, js].T), axis=-1)
     cap = min(len(X) * nodes, max(_BLOCK_PAIR_NODES, nodes))
     bufs = (np.empty((n + 1) * cap), np.empty(cap, dtype=bool))
     sums = np.empty((3, len(X)))  # per row: sum, shift, largest |term|
@@ -336,32 +405,28 @@ def _riesz_batch(alpha, X, Y, lower: int | None):
     # an overflow at a live node raises after the row sums
     with np.errstate(over="ignore", invalid="ignore"):
         for chunk in _row_blocks(len(X), nodes // _SEGMENT):
-            lo, hi = _windows(rule, X[chunk], Y[chunk])
+            lo, hi = _windows(rule, feats[chunk])
             rows = np.arange(chunk.start, chunk.stop)
             for i, lo_i, hi_i in _window_blocks(rows, lo, hi, np.arange(0, nodes + 1, _SEGMENT)):
-                sums[:, i] = _window_sums(hermite, rule, X[i], Y[i], lo_i, hi_i, bufs)
+                sums[:, i] = _window_sums(ks, rule, feats[i], args[:, i], lo_i, hi_i, bufs)
         total, shift, top = sums
         redo = np.flatnonzero(np.abs(total) < math.exp(-_GUARD) * top)
         whole = np.array([0]), np.array([nodes // _SEGMENT])
         for i in (redo[b] for b in _row_blocks(redo.size, nodes)):
-            sums[:, i] = _window_sums(hermite, rule, X[i], Y[i], *whole, bufs)
+            sums[:, i] = _window_sums(ks, rule, feats[i], args[:, i], *whole, bufs)
     pref = _riesz_prefactor(n, order)
     with np.errstate(divide="ignore"):
         logmags = np.log(np.abs(total)) + shift + pref.logmag
     return np.sign(total).astype(int) * pref.sign, logmags
 
 
-def _windows(rule, X, Y) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi): row i's window is segments lo[i]..hi[i]-1 of the rule."""
-    r, inv_s, logw = rule
-    mid = slice(_SEGMENT // 2, None, _SEGMENT)
-    # probes down axis 0, so every operation runs along rows of pairs
-    g = np.zeros((r.size // _SEGMENT, X.shape[0]))
-    for xj, yj in zip(np.ascontiguousarray(X.T), np.ascontiguousarray(Y.T)):
-        u = (xj - r[mid, None] * yj) * inv_s[mid, None]
-        g += u * u
-    np.subtract(logw[mid, None], g, out=g)
-    return _live_panels(g)
+def _windows(rule, F) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi): row i's window is segments lo[i]..hi[i]-1 of the rule
+    (C, S) of `_exponent_rule`, probed at each segment's middle node; F
+    holds the rows' `_features`."""
+    probes = np.ascontiguousarray(rule[0][:, _SEGMENT // 2 :: _SEGMENT])
+    g = _matmul(F, probes, np.empty((len(F), probes.shape[1])))
+    return _live_panels(g.T)
 
 
 def _live_panels(g) -> tuple[np.ndarray, np.ndarray]:
@@ -385,32 +450,29 @@ def _window_blocks(rows, lo, hi, cuts, pair_nodes: int | None = None):
     return [(rows[b], lo[b], hi[b]) for b in blocks]
 
 
-def _window_sums(hermite, rule, X, Y, lo, hi, bufs):
+def _window_sums(ks, rule, F, args, lo, hi, bufs):
     """(sum, shift, largest |term|) per row over segments lo..hi-1, given per
-    row or once for all rows, of the terms with Hermite index `hermite` (a
-    product of 1 at order 0); computed in place in `bufs`."""
-    r, inv_s, logw = rule
-    b, n = X.shape
+    row or once for all rows, on the rule (C, S) of `_exponent_rule`.  F
+    holds the rows' `_features`, and args[i] their (d_j, y_j) for the i-th
+    coordinate with a Hermite factor, of order ks[i]; with none, the
+    product is 1.  Computed in place in `bufs`."""
+    C, S = rule
     first, last = int(lo.min()), int(hi.max())
     nodes = slice(first * _SEGMENT, last * _SEGMENT)
-    size = b * (last - first) * _SEGMENT
-    # u[j]: coordinate j at every (pair, node), contiguous along the nodes
-    u = bufs[0][: n * size].reshape(n, b, -1)
-    g = bufs[0][n * size : (n + 1) * size].reshape(b, -1)
-    dead = bufs[1][:size].reshape(b, -1)
-    np.multiply(Y.T[:, :, None], -r[nodes], out=u)
-    u += X.T[:, :, None]
-    u *= inv_s[nodes]
+    width = (last - first) * _SEGMENT
+    size = len(F) * width
+    g = _matmul(F, C[:, nodes], bufs[0][:size].reshape(len(F), width))
+    dead = bufs[1][:size].reshape(len(F), width)
+    # row block i of u: u_j of the i-th Hermite factor at every (pair, node)
+    u = bufs[0][size : (len(ks) + 1) * size].reshape(-1, width)
+    _matmul(args.reshape(-1, 2), S[:, nodes], u)
     h = None
-    for j, k in enumerate(hermite):
-        if k:
-            hv = _hermite_batch(k, u[j])
-            h = hv if h is None else np.multiply(h, hv, out=h)
-    np.square(u, out=u)
-    np.subtract(logw[nodes], u.sum(axis=0, out=g), out=g)
-    total, shift = _panel_sums(g, np.arange(0, r.size + 1, _SEGMENT), lo, hi, dead, h)
+    for k, uj in zip(ks, u.reshape(len(ks), len(F), width)):
+        hv = _hermite_batch(k, uj)
+        h = hv if h is None else np.multiply(h, hv, out=h)
+    total, shift = _panel_sums(g, np.arange(0, C.shape[1] + 1, _SEGMENT), lo, hi, dead, h)
     if not np.isfinite(total).all():
-        raise ValueError(f"Hermite factor of order {sum(hermite)} overflows at a live node")
+        raise ValueError(f"Hermite factor of order {sum(ks)} overflows at a live node")
     return total, shift, np.maximum(g.max(axis=1), -g.min(axis=1))
 
 

@@ -957,6 +957,13 @@ def _rank_one_radial_log(mu: float, nu: float, t: np.ndarray) -> np.ndarray:
         return -t * t - mu * np.log(t) - nu * np.log1p(t)
 
 
+def _require_bounded_at_infinity(n: int, mu: float, nu: float) -> None:
+    """ValueError unless mu + nu >= n - 2: below it the weak quasi-norm is
+    infinite through s -> 0, whose level sets grow past any finite grid."""
+    if not mu + nu >= n - 2:
+        raise ValueError(f"needs mu + nu >= n - 2, got {mu + nu:g}: unbounded at infinity")
+
+
 def rank_one_quasinorm_exact(n: int, mu: float, nu: float) -> float:
     """log of sup_t Tf(t) * measure(B(0,t)) for the rank-one operator with a
     unit-norm input, computed from the closed forms.
@@ -964,8 +971,10 @@ def rank_one_quasinorm_exact(n: int, mu: float, nu: float) -> float:
     Mirrors the analytic construction: for each level s the super-level set
     is the centered ball whose radius is the largest solution of Tf(t) = s,
     so the supremum over s equals the supremum over t of the product.  The
-    boundedness hypotheses are mu + nu >= n - 2 and mu <= n.
+    boundedness hypotheses are mu + nu >= n - 2 and mu <= n; mu + nu < n - 2
+    raises ValueError, as the grid stops at t = 40.
     """
+    _require_bounded_at_infinity(n, mu, nu)
     t = np.exp(np.linspace(math.log(1e-10), math.log(40.0), 20000))
     logq = _rank_one_radial_log(mu, nu, t) - 0.5 * n * _LOG_PI + _log_radial_ball_measure(n, t)
     k = int(np.argmax(logq))
@@ -1001,8 +1010,10 @@ def weak_quasinorm_probe(n: int, mu: float, nu: float, t_min: float = 1e-8) -> f
     |x| < t_0, and the last shell is one geometric step wide), measured by
     closed-form centered-ball differences; the level sets at the node values
     come from the sorted-suffix sum of level_set_report, so profiles need not
-    be monotone.  Works for n <= 2.
+    be monotone.  Works for n <= 2.  mu > n is probed through t_min, but
+    mu + nu < n - 2 raises ValueError: that growth is at t -> infinity.
     """
+    _require_bounded_at_infinity(n, mu, nu)
     if not 0.0 < t_min < _PROBE_T_MAX:
         raise ValueError(f"t_min must lie in (0, {_PROBE_T_MAX:g})")
     t = np.exp(np.linspace(math.log(t_min), math.log(_PROBE_T_MAX), _PROBE_T_COUNT))

@@ -710,6 +710,17 @@ class TestRankOneProbes:
         slope = float(np.polyfit(np.log(t_mins), vals, 1)[0])
         assert abs(slope + 1.0) <= 1e-2
 
+    def test_unbounded_at_infinity_rejected(self):
+        # mu + nu < n - 2: s * measure{|Tf| > s} grows as s -> 0, past the
+        # grids' ends at t = 30 and 40, which would return a finite number
+        # (2.845 for the probe at n = 2, mu = -0.5, nu = 0)
+        for rank_one in (wt.weak_quasinorm_probe, wt.rank_one_quasinorm_exact):
+            for n, mu, nu in ((2, -0.5, 0.0), (1, -1.5, 0.0), (2, 1.0, -1.5), (1, math.nan, 0.0)):
+                with pytest.raises(ValueError, match="unbounded at infinity"):
+                    rank_one(n, mu, nu)
+            # on the boundary mu + nu = n - 2 both still return a value
+            assert math.isfinite(rank_one(1, -1.0, 0.0))
+
     def test_probe_t_min_must_lie_below_t_max(self):
         for t_min in (0.0, -1.0, 30.0, 50.0, math.nan):
             with pytest.raises(ValueError):

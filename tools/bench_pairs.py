@@ -14,7 +14,10 @@ once on each side per pair, the parent first in even pairs and the change
 first in odd ones, one run at a time, and waits for each run to end.  The
 file holds the machine, the parent's sha, the command, every run, and per
 side the median and quartiles (`statistics.quantiles`, inclusive) of each
-end-to-end metric.  Each side also gets, on request, and with the same
+end-to-end metric, with the number of pairs in which the change ran lower
+and whether the gain rule holds: lower in at least 9 of 10 pairs, and the
+parent's median above the change's by more than the parent's quartile
+spread.  Each side also gets, on request, and with the same
 alternation of sides (each side's `wc -l src/rieszlab/*.py` total is always
 written, as `src_lines`):
 
@@ -97,9 +100,21 @@ def bench_workload(roots: dict, workload: str, pairs: int, seed: int, seconds: f
             side: summary([round(r["metrics"][name]["value"], 4) for r in results[side]])
             for side in SIDES
         }
-    walls = [out["wall_s"][side]["runs"] for side in SIDES]
-    out["change_wall_s_lower_in_pairs"] = sum(c < p for p, c in zip(*walls))
+        out[name].update(gain_rule(out[name]["parent"], out[name]["change"]))
     return out
+
+
+def gain_rule(parent: dict, change: dict) -> dict:
+    """How often the change ran lower, and whether that is a gain: lower in
+    at least 9 of 10 pairs, and the medians further apart than the parent's
+    quartiles."""
+    lower = sum(c < p for p, c in zip(parent["runs"], change["runs"]))
+    gap = parent["median"] - change["median"]
+    return {
+        "change_lower_in_pairs": lower,
+        "gain_rule_holds": 10 * lower >= 9 * len(parent["runs"])
+        and gap > parent["q3"] - parent["q1"],
+    }
 
 
 TUBE_TF = """
