@@ -9,20 +9,18 @@ The Riesz kernel of order alpha is the one-dimensional integral
 with c_alpha = (-1)^|alpha| / (Gamma(|alpha|/2) pi^{n/2}).  `riesz_kernel`
 evaluates one pair by adaptive quadrature with an error estimate;
 `riesz_kernel_batch` evaluates many pairs on a fixed composite rule,
-sorted by r and cut into 16-node segments.  With d = x - y and w = 1 - r
-from the rule's own nodes, u = (d + w y)/s for s = sqrt(1 - r^2), and a
-block's exponents g = log weight - |u|^2 are one matrix product:
-[1, |d|^2, d.y, |y|^2] per pair times [log weight, -1/s^2, -2/(1+r),
--w/(1+r)] per node, as w/s^2 = 1/(1+r).  That g is within 1.2e-12 of a
-long-double one on the live nodes of tube and near-diagonal pairs.
-Probing g at each segment's middle node, it sums as floats only the
-segments within e^-40 of a pair's largest probe, plus one on each side,
-shifted by the largest g there; terms more than 700 below the shift are
-exactly 0 (so exp never sees its slow underflow range).  Segment sums are added in order, so
-a value reads only its own window; one that cancels below e^-20 of its
-largest term is summed again over the whole rule.  The same body gives the
-boundary form of a ball integral (`_riesz_batch` with lower = j): Hermite
-index alpha - e_j on the rule with weights times sqrt(1 - r^2)/r.
+sorted by r and cut into 16-node segments.  A block's exponents
+g = log weight - |u|^2 are one small matrix product (`_exponent_rule`),
+within 1.1e-12 of a long-double g on the live nodes of tube and
+near-diagonal pairs.  Probing g at each segment's middle node, it sums as
+floats only the segments within e^-40 of a pair's largest probe, plus one
+on each side, shifted by the largest g there; terms more than 700 below
+the shift are exactly 0 (so exp never sees its slow underflow range).
+Segment sums are added in order, so a value reads only its own window;
+one that cancels below e^-20 of its largest term is summed again over the
+whole rule.  The same body gives the boundary form of a ball integral
+(`_riesz_batch` with lower = j): Hermite index alpha - e_j on the rule
+with weights times sqrt(1 - r^2)/r.
 """
 
 from __future__ import annotations
@@ -261,11 +259,10 @@ def _rule_nodes(n: int, order: int, lowered: bool):
 
 
 @lru_cache(maxsize=32)
-def _batch_rule(n: int, order: int, lowered: bool = False):
+def _batch_rule(n: int, order: int):
     """Composite nodes (r, 1/sqrt(1-r^2), log weight incl. all r-factors),
-    three arrays by increasing r; `lowered` multiplies every weight by
-    sqrt(1-r^2)/r, the r-factor of the boundary form."""
-    r, _, one_m_r2, logw = _rule_nodes(n, order, lowered)
+    three arrays by increasing r."""
+    r, _, one_m_r2, logw = _rule_nodes(n, order, False)
     return r, 1.0 / np.sqrt(one_m_r2), logw
 
 
@@ -276,7 +273,12 @@ def _exponent_rule(n: int, order: int, lowered: bool = False):
 
       g = log weight - |d + w y|^2/s^2 = [1, |d|^2, d.y, |y|^2] @ C,
       C = [log weight, -1/s^2, -2/(1 + r), -w/(1 + r)],
-      u_j = (d_j + w y_j)/s = [d_j, y_j] @ S,  S = [1/s, w/s]."""
+      u_j = (d_j + w y_j)/s = [d_j, y_j] @ S,  S = [1/s, w/s].
+
+    w and s^2 come from the rule's own nodes, never from 1 - r.  Per node,
+    g is a few ulps of its largest product off, and those errors average
+    over a sum's nodes; a pair's features are shared by all its nodes, so
+    `_features` rounds them once, from long double."""
     r, w, one_m_r2, logw = _rule_nodes(n, order, lowered)
     inv_s = 1.0 / np.sqrt(one_m_r2)
     C = np.array([logw, -1.0 / one_m_r2, -2.0 / (1.0 + r), -w / (1.0 + r)])
@@ -286,7 +288,9 @@ def _exponent_rule(n: int, order: int, lowered: bool = False):
 
 
 def _features(X, Y) -> np.ndarray:
-    """Rows [1, |d|^2, d.y, |y|^2] per pair, d = x - y: g = F @ C."""
+    """Rows [1, |d|^2, d.y, |y|^2] per pair, d = x - y, each formed in long
+    double and rounded once: g = F @ C."""
+    X, Y = X.astype(np.longdouble), Y.astype(np.longdouble)
     D = X - Y
     F = np.ones((len(X), 4))
     for col, (a, b) in enumerate(((D, D), (D, Y), (Y, Y)), 1):
@@ -338,20 +342,11 @@ def riesz_kernel_batch(
     n = 2 pairs, orders 1-4) it is at most 2.9e-7 down to separation
     2.3e-4; below that the fixed rule is unconverged, with 18 of 25 pairs
     off by more than 1e-6 and the worst by 3.1e-4 (alpha (2,2) at
-    separation 3.8e-5).
-    These figures are the rule's own: forming the exponent as a product
-    (below) moved the 160-pair worst by 3e-15 and no oracle error by more
-    than 4.7e-10.
-
-    A block's exponents are one product F @ C: F = [1, |d|^2, d.y, |y|^2]
-    per pair (d = x - y), C = [log weight, -1/s^2, -2/(1+r), -w/(1+r)] per
-    node, with w = 1 - r and s^2 = 1 - r^2 from the rule's own nodes, never
-    from 1 - r (`_exponent_rule`).  That is g = log weight - |d + w y|^2/s^2
-    to a few ulps of its largest term, 1.2e-12 at most on the live nodes of
-    tube and near-diagonal pairs against a long-double g.  The Hermite
-    arguments u_j = [d_j, y_j] @ [1/s, w/s] are formed only where alpha_j
-    >= 1.  A lone row goes into the product twice, as numpy's one-row
-    product (gemv) rounds otherwise than gemm.
+    separation 3.8e-5).  These figures are the rule's own, and the
+    exponent's rounding does not move them: a block's exponents are one
+    matrix product (`_exponent_rule`), within 1.1e-12 of a long-double g
+    on the live nodes of tube and near-diagonal pairs, and the Hermite
+    arguments u_j are formed only where alpha_j >= 1.
 
     Each pair sums, as floats, only its window of the r-sorted rule: the
     _SEGMENT-node segments whose middle-node g = log weight - |u|^2 is
@@ -416,7 +411,10 @@ def _riesz_batch(alpha, X, Y, lower: int | None):
             sums[:, i] = _window_sums(ks, rule, feats[i], args[:, i], *whole, bufs)
     pref = _riesz_prefactor(n, order)
     with np.errstate(divide="ignore"):
-        logmags = np.log(np.abs(total)) + shift + pref.logmag
+        # in long double: a rounding here is the same for all of a row's
+        # terms, so unlike theirs it does not average out
+        logmags = np.log(np.abs(total)) + (shift.astype(np.longdouble) + pref.logmag)
+        logmags = logmags.astype(float)
     return np.sign(total).astype(int) * pref.sign, logmags
 
 
