@@ -381,7 +381,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--seed", type=int, help="random seed override")
     parser.add_argument("--count", type=int, help="sample count override")
-    parser.add_argument("--jobs", type=int, help="worker processes")
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        metavar="N",
+        help="at most N worker processes; a run too small to repay one stays in-process",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     k = sub.add_parser("kernel", help="tabulate kernel values")

@@ -273,8 +273,9 @@ def _exponent_rule(n: int, order: int, lowered: bool = False):
 
       g = log weight - |d + w y|^2/s^2 = [1, |d|^2, d.y, |y|^2] @ C,
       C = [log weight, -1/s^2, -2/(1 + r), -w/(1 + r)],
-      u_j = (d_j + w y_j)/s = [d_j, y_j] @ S,  S = [1/s, w/s].
+      v_j = 2 u_j = 2 (d_j + w y_j)/s = [d_j, y_j] @ S,  S = [2/s, 2 w/s],
 
+    v_j being the Hermite argument as `_hermite_batch` takes it.
     w and s^2 come from the rule's own nodes, never from 1 - r.  Per node,
     g is a few ulps of its largest product off, and those errors average
     over a sum's nodes; a pair's features are shared by all its nodes, so
@@ -282,7 +283,7 @@ def _exponent_rule(n: int, order: int, lowered: bool = False):
     r, w, one_m_r2, logw = _rule_nodes(n, order, lowered)
     inv_s = 1.0 / np.sqrt(one_m_r2)
     C = np.array([logw, -1.0 / one_m_r2, -2.0 / (1.0 + r), -w / (1.0 + r)])
-    S = np.array([inv_s, w * inv_s])
+    S = np.array([2.0 * inv_s, 2.0 * w * inv_s])
     C.flags.writeable = S.flags.writeable = False
     return C, S
 
@@ -308,17 +309,26 @@ def _matmul(a, b, out) -> np.ndarray:
     return np.matmul(a, b, out=out)
 
 
-def _hermite_batch(k: int, u: np.ndarray) -> np.ndarray:
-    if k == 1:
-        return 2.0 * u
+def _hermite_batch(k: int, v: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """H_k(v/2), for k <= 4 formed in v's buffer (with `scratch`, of v's
+    shape, for k = 3 and 4): as v = 2u doubles exactly, each has the bits of
+    the usual polynomial in u, 2u, 4u^2 - 2, u(8u^2 - 12), 16u^4 - 48u^2 + 12."""
     if k == 2:
-        return 4.0 * u * u - 2.0
-    if k == 3:
-        return u * (8.0 * u * u - 12.0)
-    if k == 4:
-        u2 = u * u
-        return 16.0 * u2 * u2 - 48.0 * u2 + 12.0
-    return np.asarray(hermite1d(k, u))
+        np.multiply(v, v, out=v)
+        v -= 2.0
+    elif k == 3:
+        np.multiply(v, v, out=scratch)
+        scratch -= 6.0
+        v *= scratch
+    elif k == 4:
+        np.multiply(v, v, out=v)
+        np.multiply(v, v, out=scratch)
+        v *= 12.0
+        np.subtract(scratch, v, out=v)
+        v += 12.0
+    elif k > 4:
+        return np.asarray(hermite1d(k, 0.5 * v))
+    return v
 
 
 def riesz_kernel_batch(
@@ -394,7 +404,7 @@ def _riesz_batch(alpha, X, Y, lower: int | None):
     ks = [hermite[j] for j in js]
     args = np.stack(((X - Y)[:, js].T, Y[:, js].T), axis=-1)
     cap = min(len(X) * nodes, max(_BLOCK_PAIR_NODES, nodes))
-    bufs = (np.empty((n + 1) * cap), np.empty(cap, dtype=bool))
+    bufs = (np.empty((n + 2) * cap), np.empty(cap, dtype=bool))
     sums = np.empty((3, len(X)))  # per row: sum, shift, largest |term|
     # a Hermite factor may overflow at a dead node, whose term is set to 0;
     # an overflow at a live node raises after the row sums
@@ -461,17 +471,18 @@ def _window_sums(ks, rule, F, args, lo, hi, bufs):
     size = len(F) * width
     g = _matmul(F, C[:, nodes], bufs[0][:size].reshape(len(F), width))
     dead = bufs[1][:size].reshape(len(F), width)
-    # row block i of u: u_j of the i-th Hermite factor at every (pair, node)
-    u = bufs[0][size : (len(ks) + 1) * size].reshape(-1, width)
-    _matmul(args.reshape(-1, 2), S[:, nodes], u)
+    # row block i of v: v_j = 2 u_j of the i-th Hermite factor at every (pair, node)
+    v = bufs[0][size : (len(ks) + 1) * size].reshape(-1, width)
+    _matmul(args.reshape(-1, 2), S[:, nodes], v)
+    scratch = bufs[0][(len(ks) + 1) * size : (len(ks) + 2) * size].reshape(len(F), width)
     h = None
-    for k, uj in zip(ks, u.reshape(len(ks), len(F), width)):
-        hv = _hermite_batch(k, uj)
+    for k, vj in zip(ks, v.reshape(len(ks), len(F), width)):
+        hv = _hermite_batch(k, vj, scratch)
         h = hv if h is None else np.multiply(h, hv, out=h)
     total, shift = _panel_sums(g, np.arange(0, C.shape[1] + 1, _SEGMENT), lo, hi, dead, h)
     if not np.isfinite(total).all():
         raise ValueError(f"Hermite factor of order {sum(ks)} overflows at a live node")
-    return total, shift, np.maximum(g.max(axis=1), -g.min(axis=1))
+    return total, shift, np.abs(g, out=g).max(axis=1)
 
 
 def _panel_sums(g, cuts, lo, hi, dead=None, h=None):

@@ -1044,6 +1044,14 @@ def tube_axis_basis(n: int) -> np.ndarray:
 _BALL_NODES_START = 64
 _BALL_GAP = 1e-5
 _BALL_NODES_MAX = 2**12
+# estimated (tube cell, ball node) kernel pairs that repay one pool worker:
+# a worker costs 20-30 ms of CPU to start (the fork, then copy-on-write
+# warm-up in its first task) and a pair about 2 us in-process (1.8-2.7 us
+# over the growth experiment's four alpha), so each worker gets at least
+# twice its start cost, 2 x 25 ms / 2 us.  Per 4-eta call on a 2-vCPU
+# machine, a pool of 2 against one process: at 14,336 pairs no wall time
+# saved for 70-100% more CPU; at 57,344 a third less wall time
+_POOL_PAIRS_PER_WORKER = 25_000
 
 
 def _tube(n: int, eta: float, perp_half: float = 1.0):
@@ -1126,6 +1134,10 @@ def _centroid_cells(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, log_i - u * u
 
 
+def _axis_count(cfg: CounterexampleConfig, eta: float) -> int:
+    return int(math.ceil(cfg.grid_axis * eta / min(cfg.etas)))
+
+
 def _tube_grid(cfg: CounterexampleConfig, eta: float):
     """Weight-centroid grid over the tube plus exact cell volumes (log).
 
@@ -1144,8 +1156,7 @@ def _tube_grid(cfg: CounterexampleConfig, eta: float):
     """
     n = cfg.n
     q, (lo, hi), w = _tube(n, eta, cfg.tube_perp_half)
-    axis_count = int(math.ceil(cfg.grid_axis * eta / min(cfg.etas)))
-    axis_edges = np.linspace(lo, hi, axis_count + 1)
+    axis_edges = np.linspace(lo, hi, _axis_count(cfg, eta) + 1)
     axis, log_axis = _centroid_cells(axis_edges)
     perp_edges = np.linspace(-w, w, cfg.grid_perp + 1)
     perp, log_perp = _centroid_cells(perp_edges)
@@ -1223,6 +1234,15 @@ def _eta_job(args) -> tuple[float, LevelSetReport]:
     return eta, _eta_report(cfg, eta)
 
 
+def _pool_workers(cfg: CounterexampleConfig, jobs: int | None) -> int:
+    """Workers worth starting for cfg, at most jobs and one per eta: one per
+    _POOL_PAIRS_PER_WORKER estimated kernel pairs, the tube cells of every
+    eta times the ball rule's first node count (the 2 end points in n = 1)."""
+    ball = _BALL_NODES_START if cfg.n == 2 else 2
+    cells = sum(_axis_count(cfg, eta) for eta in cfg.etas) * cfg.grid_perp ** (cfg.n - 1)
+    return min(jobs or 1, len(cfg.etas), cells * ball // _POOL_PAIRS_PER_WORKER)
+
+
 @dataclass
 class CounterexampleResult:
     config: CounterexampleConfig
@@ -1255,13 +1275,18 @@ def counterexample_lower_bound(
 ) -> CounterexampleResult:
     """Tube-restricted weak quasi-norm lower bounds per eta, with growth fit.
 
-    Per-eta work is independent; jobs > 1 runs the etas in a process pool,
-    largest eta first, since a task's cost grows with its axis cell count.
-    Results merge in eta order, so worker count never changes the output.
+    Per-eta work is independent and runs largest eta first, since a task's
+    cost grows with its axis cell count.  jobs is a ceiling on the worker
+    processes: the etas go to a process pool only when the work repays
+    more than one worker, each worker taking about _POOL_PAIRS_PER_WORKER
+    estimated kernel pairs, at least twice its start cost; otherwise they
+    run in this process.  Results merge in eta order, so worker count never
+    changes the output.
     """
     tasks = [(cfg, eta) for eta in sorted(cfg.etas, reverse=True)]
-    if jobs is not None and jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+    workers = _pool_workers(cfg, jobs)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             produced = dict(pool.map(_eta_job, tasks))
     else:
         produced = dict(map(_eta_job, tasks))

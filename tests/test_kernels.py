@@ -194,9 +194,12 @@ def _tube_ball_pairs(eta: float, count: int, rng):
 def test_batch_kernel_tube_pairs_match_scalar():
     # far tube/ball pairs, where a large share of the rule's terms lie more
     # than NEGLIGIBLE_LOGMAG below their row's largest and are summed as 0;
-    # the bound is the worst error of the all-terms sum (1.48e-12, at eta 20)
+    # the bound is the worst error of the all-terms sum (1.48e-12, at eta
+    # 20).  Against a long-double sum of the same rule, which leaves the
+    # rule's own error out, the worst is one ulp of log|K| at eta 20
+    # (1.14e-13, its ulp on [-1024, -512)); the bound adds one more
     rng = np.random.default_rng(31)
-    worst, dead = 0.0, []
+    worst, worst_rule, dead = 0.0, 0.0, []
     for eta in (4.0, 10.0, 20.0):
         for entries in ((1, 0), (1, 1), (2, 1), (2, 2), (3, 2)):
             alpha = MultiIndex.of(*entries)
@@ -207,11 +210,15 @@ def test_batch_kernel_tube_pairs_match_scalar():
                 scale = _log_mass(alpha, x, y)
                 err = abs(s[0] * math.exp(lm[0] - scale) - kv.sign * math.exp(kv.logmag - scale))
                 worst = max(worst, err)
+                s_ld, lm_ld = _rule_sum_long_double(alpha, x, y)
+                err = abs(s[0] * math.exp(lm[0] - scale) - s_ld * math.exp(lm_ld - scale))
+                worst_rule = max(worst_rule, err)
                 u = (x[:, None] - np.outer(y, r)) * inv_s
                 g = logw - (u * u).sum(axis=0)
                 dead.append(np.mean(g - g.max() < -NEGLIGIBLE_LOGMAG))
     assert np.mean(dead) >= 0.4
     assert worst <= 1.5e-12
+    assert worst_rule <= 2.3e-13
 
 
 def test_batch_kernel_exp_stays_off_underflow(monkeypatch):
@@ -501,6 +508,21 @@ def _exponent_long_double(alpha, x, y):
     x, y = x.astype(np.longdouble), y.astype(np.longdouble)
     u = ((x - y)[:, None] + np.outer(y, w)) / np.sqrt(s2)
     return logw - (u * u).sum(axis=0), u
+
+
+def _rule_sum_long_double(alpha, x, y) -> tuple[int, float]:
+    """(sign, log|K|) from a long-double sum over the whole batch rule."""
+    g, u = _exponent_long_double(alpha, x, y)
+    h = np.ones_like(g)
+    for k, uj in zip(alpha, u):
+        prev, cur = np.ones_like(uj), 2 * uj
+        for j in range(1, k):
+            prev, cur = cur, 2 * uj * cur - 2 * j * prev
+        h *= cur if k else prev
+    shift = g.max()
+    total = np.sum(np.exp(g - shift) * h)
+    pref = kernels._riesz_prefactor(x.size, alpha.order)
+    return int(np.sign(total)) * pref.sign, float(np.log(np.abs(total)) + shift + pref.logmag)
 
 
 def test_batch_exponent_matches_long_double(monkeypatch):

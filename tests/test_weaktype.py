@@ -934,9 +934,11 @@ class TestTubeTransform:
         assert summary["passed"] is False
         assert math.isnan(summary["slope"])
 
-    def test_worker_count_leaves_result_unchanged(self):
+    def test_worker_count_leaves_result_unchanged(self, monkeypatch):
         # the pool takes the largest eta first but merges in eta order, so
-        # one worker and two give the same bits
+        # one worker and two give the same bits; this grid is too small to
+        # repay a worker, so the pool is forced
+        monkeypatch.setattr(wt, "_POOL_PAIRS_PER_WORKER", 1)
         cfg = wt.CounterexampleConfig(
             alpha=MultiIndex.of(1, 1),
             etas=(4.0, 5.0, 6.0),
@@ -959,6 +961,26 @@ class TestTubeTransform:
             assert a.log_quasi_norm == b.log_quasi_norm
             assert a.argmax_log_threshold == b.argmax_log_threshold
             assert a.metadata == b.metadata
+
+    def test_small_grid_starts_no_worker(self, monkeypatch):
+        # 224 tube cells times 64 ball nodes do not repay a worker's start,
+        # so jobs=2 runs in this process; check 6's default grid keeps its
+        # pool of 2
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool worker was started")
+
+        monkeypatch.setattr(wt, "ProcessPoolExecutor", no_pool)
+        small = wt.CounterexampleConfig(
+            alpha=MultiIndex.of(2, 1),
+            etas=(4.0, 6.0, 8.0, 10.0),
+            grid_axis=8,
+            grid_perp=4,
+        )
+        res = wt.counterexample_lower_bound(small, jobs=2)
+        serial = wt.counterexample_lower_bound(small, jobs=1)
+        assert np.array_equal(res.log_quasi_norms, serial.log_quasi_norms)
+        default = wt.CounterexampleConfig(alpha=MultiIndex.of(2, 1), etas=small.etas)
+        assert wt._pool_workers(default, 2) == 2 and wt._pool_workers(default, 1) == 1
 
 
 class TestBoundaryForm:
