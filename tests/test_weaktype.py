@@ -5,6 +5,7 @@ import json
 import math
 from functools import partial
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special
@@ -323,18 +324,55 @@ class TestProfileAndBlocks:
             Y *= (norms / np.linalg.norm(Y, axis=1))[:, None]
             X = peaks[:, None] * Y + 0.1 * rng.normal(size=(200, n)) * (n > 1)
             X[0], Y[0] = 19.6, 40.0
-            # every node of the 616-node rule, |x - r y|^2 from the row dots
-            r = np.concatenate([wt._R_NODES, 1.0 - wt._U_NODES])
+            # every node of the 616-node rule, |x - r y|^2 = |d + w y|^2 from
+            # the row dots of d = x - y and y, w = 1 - r from the rule's nodes
+            w = np.concatenate([1.0 - wt._R_NODES, wt._U_NODES])
             logw = np.concatenate([wt._R_LOGW, wt._U_LOGW])
-            x2, xy, y2 = (np.sum(P * Q, axis=1)[:, None] for P, Q in ((X, X), (X, Y), (Y, Y)))
-            d2 = np.maximum(x2 - 2.0 * r * xy + r * r * y2, 0.0)
-            s2 = (1.0 - r) * (1.0 + r)
+            D = X - Y
+            dd, dy, y2 = (np.sum(P * Q, axis=1)[:, None] for P, Q in ((D, D), (D, Y), (Y, Y)))
+            d2 = np.maximum(dd + 2.0 * w * dy + w * w * y2, 0.0)
+            s2 = w * (2.0 - w)
             for mu, nu in ((3.0, 0.0), (1.0, 0.5), (1.5, 2.0)):
                 got = wt.near_diagonal_profile_integral(mu, nu, X, Y)
                 logs = -0.5 * (n + mu) * np.log(s2) - d2 / s2 + logw + 0.5 * nu * np.log(d2)
                 top = logs.max(axis=1)
                 want = np.log(np.exp(logs - top[:, None]).sum(axis=1)) + top
                 assert np.max(np.abs(got - want)) <= 1e-13
+
+    def test_near_diagonal_profile_matches_mpmath(self):
+        # a 30-digit quadrature in w = 1 - r with geometric breakpoints down
+        # to 2^-60, at the local-integral sweep's mu = 3, nu = 0, down to
+        # sample_local_pairs' floor separation of 1e-5
+        mu = 3.0
+        rng = np.random.default_rng(29)
+        for n in (1, 2):
+            for sep in (1e-2, 1e-3, 1e-4, 1e-5):
+                x = rng.normal(size=n)
+                x *= rng.uniform(0.5, 3.0) / np.linalg.norm(x)
+                d = rng.normal(size=n)
+                y = x + sep * d / np.linalg.norm(d)
+                got = wt.near_diagonal_profile_integral(mu, 0.0, x[None, :], y[None, :])[0]
+                with mpmath.workdps(30):
+                    dm = [mpmath.mpf(float(a)) - mpmath.mpf(float(b)) for a, b in zip(x, y)]
+                    ym = [mpmath.mpf(float(b)) for b in y]
+
+                    def integrand(w):
+                        q = mpmath.fsum((a + w * b) ** 2 for a, b in zip(dm, ym))
+                        s2 = w * (2 - w)
+                        return s2 ** (-(n + mu) / 2) * mpmath.exp(-q / s2)
+
+                    pts = [0] + [mpmath.mpf(2) ** -k for k in range(60, -1, -1)]
+                    want = float(mpmath.log(mpmath.quad(integrand, pts)))
+                assert abs(got - want) <= 1e-12, (n, sep, got - want)
+
+    def test_near_diagonal_profile_rejects_diagonal_rows(self):
+        # the integral diverges at x = y; the other rows do not hide it
+        X = np.array([[1.0, 1.0], [1.0, 0.5]])
+        Y = np.array([[1.0, 1.0], [0.5, 1.0]])
+        for bad in (slice(0, 1), slice(0, 2)):
+            with pytest.raises(ValueError):
+                wt.near_diagonal_profile_integral(3.0, 0.0, X[bad], Y[bad])
+        assert np.isfinite(wt.near_diagonal_profile_integral(3.0, 0.0, X[1:], Y[1:])).all()
 
     def test_window_integral_matches_quadrature(self):
         x_norm, r0 = 2.2, 0.6
@@ -352,6 +390,13 @@ class TestProfileAndBlocks:
             wt.window_gaussian_integral_log(1.0, 1.0)
         with pytest.raises(ValueError):
             wt.window_gaussian_integral_log(0.0, 0.5)
+
+    def test_window_rejects_non_finite_input(self):
+        for x_norm, r0 in ((math.nan, 0.5), (math.inf, 0.5), (1.0, math.nan), (1.0, -math.inf)):
+            with pytest.raises(ValueError):
+                wt.window_gaussian_integral_log(x_norm, r0)
+            with pytest.raises(ValueError):
+                wt.window_gaussian_integral_log([2.0, x_norm], [0.3, r0])
 
     @staticmethod
     def peak_rows(r0, yperp_sq):

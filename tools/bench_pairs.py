@@ -24,7 +24,9 @@ written, as `src_lines`):
   --tube-tf  seconds of one default-grid weaktype._tube_tf_logs call for
              alpha (2,1) at eta 4 and 10, one fresh process per call;
   --outputs  sha256 of the `pv` round's 44 values (float64 bytes) and of a
-             `verify` round's CLI text (UTF-8) at the seed;
+             `verify` round's CLI text (UTF-8) at the seed; when the two
+             sides' texts differ, their differing lines as a unified diff
+             with no context (`verify_text_diff`), beside the hashes;
   --tier1    the tier-1 test run (`pytest -q -rA`): its summary line and the
              seconds that acceptance check 6 (growth-dichotomy) reports;
   --traced W the per-layer metrics of one traced round of workload W
@@ -34,6 +36,7 @@ written, as `src_lines`):
 from __future__ import annotations
 
 import argparse
+import difflib
 import glob
 import json
 import os
@@ -140,6 +143,7 @@ print(json.dumps({
     "pv_values": int(pv.size),
     "pv_values_sha256": hashlib.sha256(pv.tobytes()).hexdigest(),
     "verify_text_sha256": hashlib.sha256(text.encode()).hexdigest(),
+    "verify_text": text,
 }))
 """
 
@@ -193,6 +197,12 @@ def side_extras(
         out["outputs"] = {
             side: json.loads(run_script(roots[side], OUTPUTS, str(seed))) for side in SIDES
         }
+        texts = [out["outputs"][side].pop("verify_text") for side in SIDES]
+        if texts[0] != texts[1]:
+            lines = (text.splitlines() for text in texts)
+            out["outputs"]["verify_text_diff"] = list(
+                difflib.unified_diff(*lines, *SIDES, lineterm="", n=0)
+            )
     if tier:
         out["tier1"] = {side: tier1(roots[side]) for side in SIDES}
     for workload in traced:
