@@ -6,7 +6,9 @@ plain quadrature over the support suffices.  Otherwise the integral exists
 only as an excised limit: the engine evaluates it outside balls of radii
 epsilon, epsilon/2, ... and Richardson-extrapolates the ladder to radius
 zero.  All kernel values flow through the log-domain batch evaluator, so
-the inverse-Gaussian growth of the integrand never overflows.
+the inverse-Gaussian growth of the integrand never overflows; a point
+takes one kernel call, which covers the nodes of every shell of its
+ladder, or those of the support.
 
 Transforms of even order in every component carry a diagonal correction
 proportional to f(x) that no excised integral can see; evaluation points on
@@ -187,23 +189,34 @@ def _kernel_sums_log(
     return signs, logmags
 
 
-def _weighted_kernel_sum(
+def _weighted_kernel_sums(
     alpha: MultiIndex,
     f: GridFunction,
     x: np.ndarray,
     pts: np.ndarray,
     logw: np.ndarray,
-) -> LogScaled:
-    """sum_j w_j * K(x, y_j) * f(y_j), in the log domain."""
+    sizes: list[int],
+) -> list[LogScaled]:
+    """sum_j w_j * K(x, y_j) * f(y_j) over each run of the nodes, in the log
+    domain: the runs are consecutive, of the given sizes.  One kernel call
+    covers every node; kernel rows do not depend on their block-mates, so
+    each run's sum has the bits it would have alone."""
     fv = np.asarray(f.evaluator(pts), dtype=float)
     live = fv != 0.0
-    if not np.any(live):
-        return LogScaled.zero()
+    runs = np.repeat(np.arange(len(sizes)), sizes)[live]
     pts, logw, fv = pts[live], logw[live], fv[live]
-    sign, logmag = _kernel_sums_log(
-        alpha, x[None, :], pts, logw, np.log(np.abs(fv)), np.sign(fv)
-    )
-    return LogScaled.from_log(float(logmag[0]), int(sign[0]))
+    k_sign, k_log = riesz_kernel_batch(alpha, np.repeat(x[None, :], len(pts), axis=0), pts)
+    terms = k_log + logw + np.log(np.abs(fv))
+    signs = k_sign * np.sign(fv)
+    sums = []
+    for run in range(len(sizes)):
+        sel = runs == run
+        if not sel.any():
+            sums.append(LogScaled.zero())
+            continue
+        sign, logmag = signed_logsumexp(terms[None, sel], signs[None, sel], axis=1)
+        sums.append(LogScaled.from_log(float(logmag[0]), int(sign[0])))
+    return sums
 
 
 def _polar_nodes(
@@ -220,15 +233,6 @@ def _polar_nodes(
     return pts.reshape(-1, n), logw.reshape(-1)
 
 
-def _shell_sum_log(
-    alpha: MultiIndex, f: GridFunction, x: np.ndarray, r_lo: float, r_hi: float
-) -> LogScaled:
-    """Integral of kernel * f over the shell r_lo < |y-x| < r_hi."""
-    radial = _radial_rule(r_lo, r_hi, geometric=True)
-    pts, logw = _polar_nodes(x, *radial, _ANGULAR_NODES)
-    return _weighted_kernel_sum(alpha, f, x, pts, logw)
-
-
 def _support_sum_log(alpha: MultiIndex, f: GridFunction, x: np.ndarray) -> LogScaled:
     """Quadrature over the support ball of f; x must be clearly outside it.
 
@@ -237,7 +241,7 @@ def _support_sum_log(alpha: MultiIndex, f: GridFunction, x: np.ndarray) -> LogSc
     """
     radial = _radial_rule(0.0, float(f.support_radius), geometric=False)
     pts, logw = _polar_nodes(f.support_center, *radial, _ANGULAR_NODES)
-    return _weighted_kernel_sum(alpha, f, x, pts, logw)
+    return _weighted_kernel_sums(alpha, f, x, pts, logw, [len(pts)])[0]
 
 
 def _extrapolate_ladder(
@@ -308,11 +312,17 @@ def _apply_log(alpha: MultiIndex, f: GridFunction, x, pv: PVConfig | None) -> Lo
             "coefficient path"
         )
 
-    radius_cover = dist + rho
+    # shell i spans eps[i] < |y - x| < eps[i - 1], shell 0 out to the cover
     eps = [_PV_EPSILON / 2.0**i for i in range(_PV_LEVELS)]
-    ladder = [_shell_sum_log(alpha, f, x, eps[0], radius_cover)]
-    for i in range(1, _PV_LEVELS):
-        shell = _shell_sum_log(alpha, f, x, eps[i], eps[i - 1])
+    outer = [dist + rho, *eps[:-1]]
+    shells = [
+        _polar_nodes(x, *_radial_rule(lo, hi, geometric=True), _ANGULAR_NODES)
+        for lo, hi in zip(eps, outer)
+    ]
+    pts, logw = (np.concatenate(parts) for parts in zip(*shells))
+    sums = _weighted_kernel_sums(alpha, f, x, pts, logw, [len(p) for p, _ in shells])
+    ladder = [sums[0]]
+    for shell in sums[1:]:
         ladder.append(log_sum([ladder[-1], shell]))
     value, _ = _extrapolate_ladder(ladder, eps, pv.rel_tol)
     return value

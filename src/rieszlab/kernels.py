@@ -9,18 +9,22 @@ The Riesz kernel of order alpha is the one-dimensional integral
 with c_alpha = (-1)^|alpha| / (Gamma(|alpha|/2) pi^{n/2}).  `riesz_kernel`
 evaluates one pair by adaptive quadrature with an error estimate;
 `riesz_kernel_batch` evaluates many pairs on a fixed composite rule,
-sorted by r and cut into 16-node segments.  A block's exponents
-g = log weight - |u|^2 are one small matrix product (`_exponent_rule`),
-within 1.1e-12 of a long-double g on the live nodes of tube and
-near-diagonal pairs.  Probing g at each segment's middle node, it sums as
-floats only the segments within e^-40 of a pair's largest probe, plus one
-on each side, shifted by the largest g there; terms more than 700 below
-the shift are exactly 0 (so exp never sees its slow underflow range).
-Segment sums are added in order, so a value reads only its own window;
-one that cancels below e^-20 of its largest term is summed again over the
-whole rule.  The same body gives the boundary form of a ball integral
-(`_riesz_batch` with lower = j): Hermite index alpha - e_j on the rule
-with weights times sqrt(1 - r^2)/r.
+sorted by r and cut into 16-node segments.  Probing g = log weight - |u|^2
+at each segment's middle node, it sums as floats only the segments within
+e^-40 of a pair's largest probe, plus one on each side, shifted by that
+largest probe.  A block's g - shift is one small matrix product
+(`_exponent_rule`, the shift folded in as a fifth feature), within 1.1e-12
+of a long-double value on the live nodes of tube and near-diagonal pairs.
+A window's largest g exceeds its largest probe by at most 17.1 on tube
+pairs (eta 4-40) and near-diagonal pairs (separations 1e-8 to 10), far
+below exp's overflow at 709; a row whose sum is not finite all the same is
+summed again under its exact max.  Terms more than 700 below the shift are
+exactly 0 (so exp never sees its slow underflow range).  Segment sums are
+added in order, so a value reads only its own window; one that cancels
+below e^-20 of its largest term is summed again over the whole rule.  The
+same body gives the boundary form of a ball integral (`_riesz_batch` with
+lower = j): Hermite index alpha - e_j on the rule with weights times
+sqrt(1 - r^2)/r.
 """
 
 from __future__ import annotations
@@ -271,29 +275,33 @@ def _exponent_rule(n: int, order: int, lowered: bool = False):
     """(C, S), read-only, one column per node of `_rule_nodes`: with
     d = x - y, w = 1 - r and s = sqrt(1 - r^2), and as w/s^2 = 1/(1 + r),
 
-      g = log weight - |d + w y|^2/s^2 = [1, |d|^2, d.y, |y|^2] @ C,
-      C = [log weight, -1/s^2, -2/(1 + r), -w/(1 + r)],
+      g - shift = log weight - |d + w y|^2/s^2 - shift
+                = [1, |d|^2, d.y, |y|^2, -shift] @ C,
+      C = [log weight, -1/s^2, -2/(1 + r), -w/(1 + r), 1],
       v_j = 2 u_j = 2 (d_j + w y_j)/s = [d_j, y_j] @ S,  S = [2/s, 2 w/s],
 
-    v_j being the Hermite argument as `_hermite_batch` takes it.
-    w and s^2 come from the rule's own nodes, never from 1 - r.  Per node,
-    g is a few ulps of its largest product off, and those errors average
-    over a sum's nodes; a pair's features are shared by all its nodes, so
-    `_features` rounds them once, from long double."""
+    v_j being the Hermite argument as `_hermite_batch` takes it, and shift
+    a pair's own (its largest probe, `_windows`).  w and s^2 come from the
+    rule's own nodes, never from 1 - r.  Per node, g is a few ulps of its
+    largest product off, and those errors average over a sum's nodes; a
+    pair's features are shared by all its nodes, so `_features` rounds
+    them once, from long double."""
     r, w, one_m_r2, logw = _rule_nodes(n, order, lowered)
     inv_s = 1.0 / np.sqrt(one_m_r2)
-    C = np.array([logw, -1.0 / one_m_r2, -2.0 / (1.0 + r), -w / (1.0 + r)])
+    C = np.array([logw, -1.0 / one_m_r2, -2.0 / (1.0 + r), -w / (1.0 + r), np.ones_like(r)])
     S = np.array([2.0 * inv_s, 2.0 * w * inv_s])
     C.flags.writeable = S.flags.writeable = False
     return C, S
 
 
 def _features(X, Y) -> np.ndarray:
-    """Rows [1, |d|^2, d.y, |y|^2] per pair, d = x - y, each formed in long
-    double and rounded once: g = F @ C."""
+    """Rows [1, |d|^2, d.y, |y|^2, 0] per pair, d = x - y, each formed in
+    long double and rounded once: g = F @ C, and g - shift once the last
+    column holds -shift."""
     X, Y = X.astype(np.longdouble), Y.astype(np.longdouble)
     D = X - Y
-    F = np.ones((len(X), 4))
+    F = np.ones((len(X), 5))
+    F[:, 4] = 0.0
     for col, (a, b) in enumerate(((D, D), (D, Y), (Y, Y)), 1):
         F[:, col] = (a * b).sum(axis=1)
     return F
@@ -353,23 +361,27 @@ def riesz_kernel_batch(
     2.3e-4; below that the fixed rule is unconverged, with 18 of 25 pairs
     off by more than 1e-6 and the worst by 3.1e-4 (alpha (2,2) at
     separation 3.8e-5).  These figures are the rule's own, and the
-    exponent's rounding does not move them: a block's exponents are one
-    matrix product (`_exponent_rule`), within 1.1e-12 of a long-double g
-    on the live nodes of tube and near-diagonal pairs, and the Hermite
-    arguments u_j are formed only where alpha_j >= 1.
+    exponent's rounding does not move them: a block's g - shift is one
+    matrix product (`_exponent_rule`), within 1.1e-12 of a long-double
+    value on the live nodes of tube and near-diagonal pairs, and the
+    Hermite arguments u_j are formed only where alpha_j >= 1.
 
     Each pair sums, as floats, only its window of the r-sorted rule: the
     _SEGMENT-node segments whose middle-node g = log weight - |u|^2 is
     within e^-_WINDOW_CUT of its largest such probe, plus one on each side,
-    under shift = the max of g there.  Terms outside the window or with
-    g - shift < -NEGLIGIBLE_LOGMAG (1e-304 of the largest weight) are
-    exactly 0, segment sums are added in order, and a sum below e^-_GUARD
-    of its largest term is redone over the whole rule.  A Hermite factor
-    that overflows at a kept node raises ValueError, which takes an order
-    in the hundreds: H_40 at x = 0.5, y = 1.5 overflows only at dropped
-    nodes and matches an mpmath reference to 1e-9.  Rows sorted by window
-    go in blocks of about 2^15 pair-nodes of their windows' union, so that
-    a block's temporaries stay in a core's L2 cache; no value depends on a
+    under shift = that largest probe.  The window's largest g exceeds it by
+    at most 17.1 on tube pairs (eta 4-40, orders 1-5, both forms) and
+    near-diagonal pairs (separations 1e-8 to 10, n = 1 and 2), tested at
+    100; a row whose sum still overflows is redone under shift = the max of
+    g in its window.  Terms outside the window or with g - shift <
+    -NEGLIGIBLE_LOGMAG (1e-304 of the shift's weight) are exactly 0,
+    segment sums are added in order, and a sum below e^-_GUARD of its
+    largest term is redone over the whole rule.  A Hermite factor that
+    overflows at a kept node raises ValueError, which takes an order in the
+    hundreds: H_40 at x = 0.5, y = 1.5 overflows only at dropped nodes and
+    matches an mpmath reference to 1e-9.  Rows sorted by window go in
+    blocks of about 2^15 pair-nodes of their windows' union, so that a
+    block's temporaries stay in a core's L2 cache; no value depends on a
     row's block or block-mates.  The boundary form (`_riesz_batch`) runs
     through the same body.
     """
@@ -398,6 +410,8 @@ def _riesz_batch(alpha, X, Y, lower: int | None):
         hermite[lower] -= 1
     rule = _exponent_rule(n, order, lower is not None)
     nodes = rule[0].shape[1]
+    segs = nodes // _SEGMENT
+    cuts = np.arange(0, nodes + 1, _SEGMENT)
     feats = _features(X, Y)
     # (d_j, y_j) of every row, per coordinate j with a Hermite factor
     js = [j for j, k in enumerate(hermite) if k]
@@ -406,19 +420,31 @@ def _riesz_batch(alpha, X, Y, lower: int | None):
     cap = min(len(X) * nodes, max(_BLOCK_PAIR_NODES, nodes))
     bufs = (np.empty((n + 2) * cap), np.empty(cap, dtype=bool))
     sums = np.empty((3, len(X)))  # per row: sum, shift, largest |term|
-    # a Hermite factor may overflow at a dead node, whose term is set to 0;
-    # an overflow at a live node raises after the row sums
+    lo, hi = np.empty(len(X), dtype=int), np.empty(len(X), dtype=int)
+
+    def window_sums(rows):
+        # a Hermite factor that overflows at a dead node leaves no trace,
+        # while a window max more than ~709 above the probe max would
+        # overflow exp: a row whose sum is not finite is summed again under
+        # its exact max, and only an overflow at a live node survives that
+        for exact in (False, True):
+            if not rows.size:
+                return
+            for i, lo_i, hi_i in _window_blocks(rows, lo[rows], hi[rows], cuts):
+                sums[:, i] = _window_sums(ks, rule, feats[i], args[:, i], lo_i, hi_i, bufs, exact)
+            rows = rows[~np.isfinite(sums[0, rows])]
+            feats[rows, 4] = 0.0
+        if rows.size:
+            raise ValueError(f"Hermite factor of order {sum(ks)} overflows at a live node")
+
     with np.errstate(over="ignore", invalid="ignore"):
-        for chunk in _row_blocks(len(X), nodes // _SEGMENT):
-            lo, hi = _windows(rule, feats[chunk])
-            rows = np.arange(chunk.start, chunk.stop)
-            for i, lo_i, hi_i in _window_blocks(rows, lo, hi, np.arange(0, nodes + 1, _SEGMENT)):
-                sums[:, i] = _window_sums(ks, rule, feats[i], args[:, i], lo_i, hi_i, bufs)
+        for chunk in _row_blocks(len(X), segs):
+            lo[chunk], hi[chunk], feats[chunk, 4] = _windows(rule, feats[chunk])
+            window_sums(np.arange(chunk.start, chunk.stop))
         total, shift, top = sums
         redo = np.flatnonzero(np.abs(total) < math.exp(-_GUARD) * top)
-        whole = np.array([0]), np.array([nodes // _SEGMENT])
-        for i in (redo[b] for b in _row_blocks(redo.size, nodes)):
-            sums[:, i] = _window_sums(ks, rule, feats[i], args[:, i], *whole, bufs)
+        lo[redo], hi[redo] = 0, segs
+        window_sums(redo)
     pref = _riesz_prefactor(n, order)
     with np.errstate(divide="ignore"):
         # in long double: a rounding here is the same for all of a row's
@@ -428,13 +454,15 @@ def _riesz_batch(alpha, X, Y, lower: int | None):
     return np.sign(total).astype(int) * pref.sign, logmags
 
 
-def _windows(rule, F) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi): row i's window is segments lo[i]..hi[i]-1 of the rule
-    (C, S) of `_exponent_rule`, probed at each segment's middle node; F
-    holds the rows' `_features`."""
+def _windows(rule, F) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lo, hi, -shift): row i's window is segments lo[i]..hi[i]-1 of the
+    rule (C, S) of `_exponent_rule`, probed at each segment's middle node,
+    and shift its largest probe (0 if none is finite); F holds the rows'
+    `_features`."""
     probes = np.ascontiguousarray(rule[0][:, _SEGMENT // 2 :: _SEGMENT])
     g = _matmul(F, probes, np.empty((len(F), probes.shape[1])))
-    return _live_panels(g.T)
+    shift = g.max(axis=1)
+    return *_live_panels(g.T), np.where(np.isfinite(shift), -shift, 0.0)
 
 
 def _live_panels(g) -> tuple[np.ndarray, np.ndarray]:
@@ -458,10 +486,12 @@ def _window_blocks(rows, lo, hi, cuts, pair_nodes: int | None = None):
     return [(rows[b], lo[b], hi[b]) for b in blocks]
 
 
-def _window_sums(ks, rule, F, args, lo, hi, bufs):
+def _window_sums(ks, rule, F, args, lo, hi, bufs, exact=False):
     """(sum, shift, largest |term|) per row over segments lo..hi-1, given per
     row or once for all rows, on the rule (C, S) of `_exponent_rule`.  F
-    holds the rows' `_features`, and args[i] their (d_j, y_j) for the i-th
+    holds the rows' `_features` with -shift in its last column, so that one
+    product gives g - shift; with exact, that column is 0 and shift is the
+    row's largest g.  args[i] holds the rows' (d_j, y_j) for the i-th
     coordinate with a Hermite factor, of order ks[i]; with none, the
     product is 1.  Computed in place in `bufs`."""
     C, S = rule
@@ -479,26 +509,28 @@ def _window_sums(ks, rule, F, args, lo, hi, bufs):
     for k, vj in zip(ks, v.reshape(len(ks), len(F), width)):
         hv = _hermite_batch(k, vj, scratch)
         h = hv if h is None else np.multiply(h, hv, out=h)
-    total, shift = _panel_sums(g, np.arange(0, C.shape[1] + 1, _SEGMENT), lo, hi, dead, h)
-    if not np.isfinite(total).all():
-        raise ValueError(f"Hermite factor of order {sum(ks)} overflows at a live node")
+    cuts = np.arange(0, C.shape[1] + 1, _SEGMENT)
+    total, shift = _panel_sums(g, cuts, lo, hi, dead, h, None if exact else -F[:, 4])
     return total, shift, np.abs(g, out=g).max(axis=1)
 
 
-def _panel_sums(g, cuts, lo, hi, dead=None, h=None):
+def _panel_sums(g, cuts, lo, hi, dead=None, h=None, shift=None):
     """(sum, shift) per row of the terms e^g (times h) over panels lo..hi-1
     of `cuts`, g holding the windows' union; g becomes the terms / e^shift.
-    Terms outside a row's window or with g - shift < -NEGLIGIBLE_LOGMAG
-    are exactly 0 (the clip keeps exp off its slow underflow range), and
-    panel sums are added in order, so those zeros change no bit."""
+    shift is each row's largest g, unless given, when g already holds
+    g - shift.  Terms outside a row's window or with g - shift <
+    -NEGLIGIBLE_LOGMAG are exactly 0 (the clip keeps exp off its slow
+    underflow range), and panel sums are added in order, so those zeros
+    change no bit."""
     first, last = int(lo.min()), int(hi.max())
     if lo.max() > first or hi.min() < last:
         panels = np.arange(first, last)
         outside = (panels < lo[:, None]) | (panels >= hi[:, None])
         np.copyto(g, -np.inf, where=np.repeat(outside, np.diff(cuts[first : last + 1]), axis=1))
-    shift = g.max(axis=1)
-    shift[shift == -np.inf] = 0.0
-    g -= shift[:, None]
+    if shift is None:
+        shift = g.max(axis=1)
+        shift[shift == -np.inf] = 0.0
+        g -= shift[:, None]
     dead = np.less(g, -NEGLIGIBLE_LOGMAG, out=dead)
     np.maximum(g, -NEGLIGIBLE_LOGMAG, out=g)
     np.exp(g, out=g)

@@ -313,23 +313,32 @@ def _rule_integral_log(X, Y, rule, terms, *per_row, span=None) -> np.ndarray:
     return out
 
 
-def _log_dist_power(a: float, r: np.ndarray, x2, xy, y2) -> np.ndarray:
-    """log of |x - r y|^a from the row dots, expanded to avoid an
-    (m, nodes, n) tensor; -inf where x = r y."""
+def _log_dist_power(a: float, w: np.ndarray, d2, dy, y2) -> np.ndarray:
+    """log of |x - r y|^a with w = 1 - r, from the row dots of d = x - y and
+    y as |d|^2 + 2w d.y + w^2|y|^2, which cancels nothing near the
+    diagonal, expanded to avoid an (m, nodes, n) tensor; -inf where x = r y."""
     with np.errstate(divide="ignore"):
-        return 0.5 * a * np.log(np.maximum(x2 - 2.0 * r * xy + r * r * y2, 0.0))
+        return 0.5 * a * np.log(np.maximum(w * (w * y2 + 2.0 * dy) + d2, 0.0))
+
+
+def _d_dots(X: np.ndarray, Y: np.ndarray):
+    """Per-row |d|^2, d.y and d.x for d = x - y: |x - r y|^2 and |r x - y|^2
+    in these and w = 1 - r cancel nothing near the diagonal, unlike the
+    same in the dots of x and y."""
+    D = X - Y
+    return tuple(np.sum(D * P, axis=1) for P in (D, Y, X))
 
 
 def _first_half_integral_log(a: int, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Bare integral over r in (0, 1/2): r^{n-1} |x - r y|^a e^{-|r x - y|^2}."""
     n = X.shape[1]
 
-    def terms(nodes, x2, xy, y2):
+    def terms(nodes, x2, xy, y2, d2, dy, _):
         r, logw = nodes
         out = (n - 1) * np.log(r) + logw - (r * r * x2 - 2.0 * r * xy + y2)
-        return out + _log_dist_power(a, r, x2, xy, y2) if a > 0 else out
+        return out + _log_dist_power(a, 1.0 - r, d2, dy, y2) if a > 0 else out
 
-    return _rule_integral_log(X, Y, _R_RULE, terms)
+    return _rule_integral_log(X, Y, _R_RULE, terms, *_d_dots(X, Y))
 
 
 def _second_half_integral_log(
@@ -339,7 +348,9 @@ def _second_half_integral_log(
 
     Integrand (with u = 1 - r):
         |x - r y|^a * u^{-(n+a+2)/2} * exp(-c[(r - r0)^2 |x|^2 + |y_perp|^2]/u)
-    restricted to the piece's interval (lo, hi] of u.  Below the peak
+    restricted to the piece's interval (lo, hi] of u.  The bracket is
+    |r x - y|^2, and both it and |x - r y|^2 are formed from d = x - y and
+    u (`_d_dots`), so nothing cancels near the diagonal.  Below the peak
     (s = 1 - r0 > 0) edge is (0, s/2], near (s/2, 3s/2] and mid the rest;
     past it mid is u > 1.5 (r0 - 1), edge the rest and near is empty.  A row
     whose piece meets no panel of the rule is -inf.
@@ -347,27 +358,27 @@ def _second_half_integral_log(
     if piece not in ("full", "near", "mid", "edge"):
         raise ValueError(f"unknown piece {piece!r}")
     n = X.shape[1]
-    r0, yperp_sq, _, _ = _polar_batch(X, Y)
-    s = 1.0 - r0
+    s = 1.0 - _polar_batch(X, Y)[0]
     cut = np.where(s > 0.0, 0.5 * s, -1.5 * s)
     top = np.where(s > 0.0, 1.5 * s, cut)
     zero, inf = np.zeros_like(s), np.full_like(s, np.inf)
     pieces = {"full": (zero, inf), "edge": (zero, cut), "near": (cut, top), "mid": (top, inf)}
     lo, hi = pieces[piece]
 
-    def terms(nodes, x2, xy, y2, r0, yperp_sq, lo, hi):
+    def terms(nodes, x2, xy, y2, lo, hi, d2, dy, dx):
         u, logw = nodes
-        r = 1.0 - u
-        expo = -_EXPONENT_C * ((r - r0) ** 2 * x2 + yperp_sq) / u
-        out = expo - 0.5 * (n + a + 2) * np.log(u) + logw
+        # (r - r0)^2 |x|^2 + |y_perp|^2 = |r x - y|^2 = |d - u x|^2
+        q = np.maximum(u * (u * x2 - 2.0 * dx) + d2, 0.0)
+        out = q * (-_EXPONENT_C / u) + (logw - 0.5 * (n + a + 2) * np.log(u))
         if a > 0:
-            out = out + _log_dist_power(a, r, x2, xy, y2)
+            out = out + _log_dist_power(a, u, d2, dy, y2)
         return out if piece == "full" else np.where((u > lo) & (u <= hi), out, -np.inf)
 
     # the panels that meet (lo, hi]
     first = np.maximum(np.searchsorted(_U_EDGES, lo, side="right") - 1, 0)
     end = np.where(lo < hi, np.searchsorted(_U_EDGES[:-1], hi), first)
-    return _rule_integral_log(X, Y, _U_RULE, terms, r0, yperp_sq, lo, hi, span=(first, end))
+    per_row = (lo, hi, *_d_dots(X, Y))
+    return _rule_integral_log(X, Y, _U_RULE, terms, *per_row, span=(first, end))
 
 
 def lemma_kernel_batch(delta: float, x, Y) -> np.ndarray:

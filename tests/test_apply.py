@@ -12,7 +12,7 @@ from rieszlab import MultiIndex
 from rieszlab.apply import GridFunction, PVConfig, apply_riesz, ball_indicator
 from rieszlab.hermite import gamma_h
 from rieszlab.kernels import riesz_kernel, riesz_kernel_batch
-from rieszlab.logscaled import signed_logsumexp
+from rieszlab.logscaled import LogScaled, log_sum, signed_logsumexp
 from rieszlab.quadrature import NonConvergenceError
 
 RADIUS = 8.5
@@ -191,6 +191,64 @@ class TestKernelSums:
             )
             assert (s2[0], l2[0]) == (signs[i], logmags[i])
         assert max(pairs) <= 40
+
+
+    def test_batched_ladder_matches_per_shell_sums(self, monkeypatch):
+        # the four ladder shells go to the kernel in one call; kernel rows
+        # do not depend on their block-mates, so each rung keeps the bits of
+        # the per-shell loop below, one kernel call per shell.  A signed f
+        # and an indicator whose zeros drop nodes cover both node filters
+        def signed(n):
+            g = gaussian_fn(n)
+            g.evaluator = lambda pts, e=g.evaluator: e(pts) * (np.atleast_2d(pts)[:, 0] - 0.3)
+            return g
+
+        def per_shell(alpha, f, x):
+            dist = float(np.linalg.norm(x - f.support_center))
+            eps = [apply_mod._PV_EPSILON / 2.0**i for i in range(apply_mod._PV_LEVELS)]
+            ladder = []
+            for lo, hi in zip(eps, [dist + f.support_radius, *eps[:-1]]):
+                radial = apply_mod._radial_rule(lo, hi, geometric=True)
+                pts, logw = apply_mod._polar_nodes(x, *radial, apply_mod._ANGULAR_NODES)
+                fv = f.evaluator(pts)
+                live = fv != 0.0
+                shell = LogScaled.zero()
+                if live.any():
+                    s, lm = apply_mod._kernel_sums_log(
+                        alpha, x[None, :], pts[live], logw[live],
+                        np.log(np.abs(fv[live])), np.sign(fv[live]),
+                    )
+                    shell = LogScaled.from_log(float(lm[0]), int(s[0]))
+                ladder.append(log_sum([ladder[-1], shell]) if ladder else shell)
+            return ladder
+
+        seen, calls = [], []
+        extrapolate = apply_mod._extrapolate_ladder
+
+        def spy(values, eps, rel_tol):
+            seen.append(values)
+            return extrapolate(values, eps, rel_tol)
+
+        def counted(alpha, X, Y):
+            calls.append(len(X))
+            return riesz_kernel_batch(alpha, X, Y)
+
+        cases = [
+            (MultiIndex.of(1), signed(1), np.array([0.4])),
+            (MultiIndex.of(3), gaussian_fn(1), np.array([-0.7])),
+            (MultiIndex.of(2, 1), signed(2), np.array([0.5, -0.2])),
+            (MultiIndex.of(1, 0), ball_indicator(2, [0.3, 0.0], 0.5), np.array([0.75, 0.1])),
+        ]
+        for alpha, f, x in cases:
+            seen.clear()
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(apply_mod, "_extrapolate_ladder", spy)
+                patch.setattr(apply_mod, "riesz_kernel_batch", counted)
+                apply_mod._apply_log(alpha, f, x, PVConfig(rel_tol=1.0))
+            assert len(seen) == 1 and len(calls) == 1
+            want = per_shell(alpha, f, x)
+            assert [(v.sign, v.logmag) for v in seen[0]] == [(v.sign, v.logmag) for v in want]
 
 
 class TestLadderFailure:

@@ -474,9 +474,9 @@ def test_batch_kernel_guard_sums_cancelled_rows_over_the_whole_rule(monkeypatch)
     windows = []
     window_sums = kernels._window_sums
 
-    def spy(ks, rule, F, args, lo, hi, bufs):
+    def spy(ks, rule, F, args, lo, hi, *rest):
         windows.append((int(lo.min()), int(hi.max())))
-        return window_sums(ks, rule, F, args, lo, hi, bufs)
+        return window_sums(ks, rule, F, args, lo, hi, *rest)
 
     for x, y, redone in ((0.5, 0.5 + 1e-6, False), (6.0, 6.1, True)):
         X, Y = np.array([[x]]), np.array([[y]])
@@ -498,7 +498,7 @@ def test_batch_kernel_rows_independent_of_block_mates():
     y_near = x_near + np.array([0.6, 0.8]) * 1e-5
     X, Y = np.array([x_far, x_near]), np.array([y_far, y_near])
     rule = kernels._exponent_rule(2, alpha.order)
-    lo, hi = kernels._windows(rule, kernels._features(X, Y))
+    lo, hi, _ = kernels._windows(rule, kernels._features(X, Y))
     assert hi[0] - lo[0] < hi[1] - lo[1]
     s, lm = riesz_kernel_batch(alpha, X, Y)
     for i in (0, 1):
@@ -552,10 +552,11 @@ def _rule_sum_long_double(alpha, x, y) -> tuple[int, float]:
 
 
 def test_batch_exponent_matches_long_double(monkeypatch):
-    # g and u_j as _window_sums forms them, caught on their way into
-    # _panel_sums: with alpha = e_j the Hermite product is 2 u_j exactly.
-    # On live nodes (g within 750 of the row's largest) both match a long-
-    # double evaluation to 1e-11 (measured 9.0e-13 and 1.1e-14)
+    # g - shift and u_j as _window_sums forms them, caught on their way
+    # into _panel_sums with the row's shift (its largest probe): with
+    # alpha = e_j the Hermite product is 2 u_j exactly.  On live nodes (g
+    # within 750 of the row's largest) both match a long-double evaluation
+    # to 1e-11 (measured 9.0e-13 and 1.1e-14)
     rng = np.random.default_rng(43)
     pairs = [p for eta in (4.0, 10.0, 20.0, 40.0) for p in _tube_ball_pairs(eta, 4, rng)]
     pairs += list(_shell_pairs(np.repeat(np.geomspace(1e-6, 1.0, 7), 2), rng))
@@ -563,9 +564,10 @@ def test_batch_exponent_matches_long_double(monkeypatch):
     seen = []
     panel_sums = kernels._panel_sums
 
-    def spy(g, cuts, lo, hi, dead=None, h=None):
-        seen.append((slice(cuts[lo.min()], cuts[hi.max()]), g[0].copy(), h[0] / 2.0))
-        return panel_sums(g, cuts, lo, hi, dead, h)
+    def spy(g, cuts, lo, hi, dead, h, shift):
+        nodes = slice(cuts[lo.min()], cuts[hi.max()])
+        seen.append((nodes, g[0] + np.longdouble(shift[0]), h[0] / 2.0))
+        return panel_sums(g, cuts, lo, hi, dead, h, shift)
 
     worst_g = worst_u = 0.0
     for x, y in pairs:
@@ -583,3 +585,66 @@ def test_batch_exponent_matches_long_double(monkeypatch):
                 worst_u = max(worst_u, float(np.abs(u - u_ref[j, nodes])[keep].max()))
     assert worst_g <= 1e-11 and worst_u <= 1e-11
 
+
+
+def test_batch_kernel_probe_shift_headroom(monkeypatch):
+    # each row's terms are e^(g - shift) with shift its largest probe, not
+    # its window's largest g: over tube pairs (eta 4-40, both forms) and
+    # near-diagonal pairs (separations 1e-8 to 10, n = 1 and 2) the window
+    # max exceeds the probe max by at most 17.1 (measured), far from exp's
+    # overflow at 709, so no row takes the exact-max redo
+    rng = np.random.default_rng(47)
+    tube = [p for eta in (4.0, 10.0, 20.0, 40.0) for p in _tube_ball_pairs(eta, 8, rng)]
+    seps = np.repeat(np.geomspace(1e-8, 10.0, 10), 2)
+    families = [
+        (tube, ((1, 0), (1, 1), (2, 1), (2, 2), (3, 2))),
+        (list(_shell_pairs(seps, rng)), ((1, 0), (2, 1), (3, 2))),
+        (list(_shell_pairs(seps, rng, 1)), ((1,), (2,), (5,))),
+    ]
+    heads = []
+    panel_sums = kernels._panel_sums
+
+    def spy(g, cuts, lo, hi, dead, h, shift):
+        assert shift is not None
+        first = cuts[lo.min()]
+        heads.extend(g[i, cuts[lo[i]] - first : cuts[hi[i]] - first].max() for i in range(len(g)))
+        return panel_sums(g, cuts, lo, hi, dead, h, shift)
+
+    monkeypatch.setattr(kernels, "_panel_sums", spy)
+    for pairs, alphas in families:
+        X, Y = np.array([x for x, _ in pairs]), np.array([y for _, y in pairs])
+        for entries in alphas:
+            alpha = MultiIndex.of(*entries)
+            for lower in (None, 0):
+                heads.clear()
+                s, lm = kernels._riesz_batch(alpha, X, Y, lower)
+                assert np.all(s != 0) and np.isfinite(lm).all()
+                assert len(heads) >= len(X) and max(heads) <= 100.0
+
+
+def test_batch_kernel_redoes_overflowing_rows_under_their_exact_max(monkeypatch):
+    # a probe max 800 below the window's largest g overflows exp; the row
+    # is then summed again under its exact max, and only a Hermite factor
+    # that overflows at a live node still raises
+    rng = np.random.default_rng(53)
+    pairs = list(_tube_ball_pairs(10.0, 4, rng)) + list(_shell_pairs([1e-6, 1e-2, 1.0], rng))
+    X, Y = np.array([x for x, _ in pairs]), np.array([y for _, y in pairs])
+    alpha = MultiIndex.of(2, 1)
+    s, lm = riesz_kernel_batch(alpha, X, Y)
+    x, y = np.array([[0.5]]), np.array([[1.5]])
+    windows = kernels._windows
+
+    def low_shift(rule, F):
+        lo, hi, neg_shift = windows(rule, F)
+        return lo, hi, neg_shift + 800.0
+
+    monkeypatch.setattr(kernels, "_windows", low_shift)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s_low, lm_low = riesz_kernel_batch(alpha, X, Y)
+        s_40, lm_40 = riesz_kernel_batch(MultiIndex.of(40), x, y)
+    assert np.array_equal(s_low, s) and np.max(np.abs(lm_low - lm)) <= 1e-13
+    ref = (-1, 65.74151517305586, 65.74151517305587)
+    assert oracle.relative_error(int(s_40[0]), float(lm_40[0]), ref) <= 1e-8
+    with pytest.raises(ValueError, match="order 300"):
+        riesz_kernel_batch(MultiIndex.of(300), x, y)

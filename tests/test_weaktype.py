@@ -422,16 +422,21 @@ def _second_half_whole_rule(a, X, Y, piece):
     # every node of the 552-node rule, masked as the pieces read in r, summed
     # as plain floats under each row's largest term
     n = X.shape[1]
-    x2, xy, y2 = (np.sum(P * Q, axis=1)[:, None] for P, Q in ((X, X), (X, Y), (Y, Y)))
+    D = X - Y
+    x2, xy, y2, d2, dy, dx = (
+        np.sum(P * Q, axis=1)[:, None]
+        for P, Q in ((X, X), (X, Y), (Y, Y), (D, D), (D, Y), (D, X))
+    )
     r0 = xy / x2
     s = 1.0 - r0
     u = wt._U_NODES[None, :]
     r = 1.0 - u
-    logs = -0.5 * ((r - r0) ** 2 * x2 + np.maximum(y2 - r0 * r0 * x2, 0.0)) / u
-    logs = logs - 0.5 * (n + a + 2) * np.log(u) + wt._U_LOGW
+    # (r - r0)^2 |x|^2 + |y_perp|^2 = |r x - y|^2 = |d - u x|^2, d = x - y
+    logs = np.maximum(u * (u * x2 - 2.0 * dx) + d2, 0.0) * (-0.5 / u)
+    logs = logs + (wt._U_LOGW - 0.5 * (n + a + 2) * np.log(u))
     with np.errstate(divide="ignore", invalid="ignore"):
         if a:
-            logs = logs + 0.5 * a * np.log(np.maximum(x2 - 2.0 * r * xy + r * r * y2, 0.0))
+            logs = logs + 0.5 * a * np.log(np.maximum(u * (u * y2 + 2.0 * dy) + d2, 0.0))
         inside = {
             "full": np.ones(logs.shape, dtype=bool),
             "near": (s > 0.0) & (np.abs(r - r0) < 0.5 * s),
@@ -447,16 +452,15 @@ def _second_half_whole_rule(a, X, Y, piece):
 def _second_half_quad(a, x, y):
     # QUADPACK in t = log u over the rule's span (2^-47, 1/2), the integrand
     # shifted by its largest value on a grid, with breakpoints around it
+    # with |r x - y|^2 and |x - r y|^2 from d = x - y, as the rule forms them
     n = x.size
-    x2, xy, y2 = x @ x, x @ y, y @ y
-    r0 = xy / x2
-    yperp_sq = max(y2 - r0 * r0 * x2, 0.0)
+    d = x - y
+    x2, y2, d2, dx, dy = x @ x, y @ y, d @ d, d @ x, d @ y
 
     def log_f(t):
         u = math.exp(t)
-        r = 1.0 - u
-        out = -0.5 * ((r - r0) ** 2 * x2 + yperp_sq) / u - 0.5 * (n + a) * t
-        return out + 0.5 * a * math.log(x2 - 2.0 * r * xy + r * r * y2) if a else out
+        out = -0.5 * max(d2 - 2.0 * u * dx + u * u * x2, 0.0) / u - 0.5 * (n + a) * t
+        return out + 0.5 * a * math.log(d2 + 2.0 * u * dy + u * u * y2) if a else out
 
     lo, hi = -47.0 * math.log(2.0), math.log(0.5)
     grid = np.linspace(lo, hi, 2001)
@@ -474,6 +478,28 @@ def _second_half_quad(a, x, y):
         epsrel=2e-14,
     )
     return math.log(value) + shift
+
+
+def _half_integrals_long_double(a, X, Y):
+    # (first, second) half over their whole rules, in long double, with
+    # |x - r y|^2 = |d|^2 + 2w d.y + w^2|y|^2 and |r x - y|^2 =
+    # |d - w x|^2 for d = x - y, w = 1 - r: no cancelling dots
+    n = X.shape[1]
+    X, Y = X.astype(np.longdouble), Y.astype(np.longdouble)
+    D = X - Y
+    dot = [np.sum(P * Q, axis=1)[:, None] for P, Q in ((D, D), (D, Y), (D, X), (X, X), (Y, Y))]
+    d2, dy, dx, x2, y2 = dot
+    r = wt._R_NODES.astype(np.longdouble)[None, :]
+    u = wt._U_NODES.astype(np.longdouble)[None, :]
+    first = (n - 1) * np.log(r) + wt._R_LOGW - (d2 - 2 * (1 - r) * dx + (1 - r) ** 2 * x2)
+    second = -0.5 * (d2 - 2 * u * dx + u * u * x2) / u - 0.5 * (n + a + 2) * np.log(u)
+    second = second + wt._U_LOGW
+    out = []
+    for logs, w in ((first, 1 - r), (second, u)):
+        logs = logs + 0.5 * a * np.log(d2 + 2 * w * dy + w * w * y2)
+        top = logs.max(axis=1)
+        out.append((np.log(np.exp(logs - top[:, None]).sum(axis=1)) + top).astype(float))
+    return out
 
 
 class TestSecondHalfWindow:
@@ -509,6 +535,23 @@ class TestSecondHalfWindow:
                         empty[piece] += int(np.sum(~live))
         # the mid piece is empty for r0 > 4/3 and r0 < 2/3, as near is past the peak
         assert empty["mid"] > 1000 and empty["near"] == 0
+
+    def test_near_diagonal_rows_match_long_double(self):
+        # |x - r y| and |r x - y| come from d = x - y: from the dots of x
+        # and y instead, the second half was off by 2e-5 in log here
+        rng = np.random.default_rng(17)
+        for n in (1, 2):
+            X = rng.normal(size=(40, n))
+            X *= rng.uniform(0.5, 3.0, size=(40, 1)) / np.linalg.norm(X, axis=1, keepdims=True)
+            D = rng.normal(size=X.shape)
+            D *= np.geomspace(1e-5, 1e-3, 40)[:, None] / np.linalg.norm(D, axis=1, keepdims=True)
+            Y = X + D
+            for a in (1, 2):
+                first, second = _half_integrals_long_double(a, X, Y)
+                got_first = wt._first_half_integral_log(a, X, Y)
+                got_second = wt._second_half_integral_log(a, X, Y)
+                assert np.max(np.abs(got_first - first)) <= 1e-12
+                assert np.max(np.abs(got_second - second)) <= 1e-12
 
     def test_full_rule_matches_quad_oracle(self):
         rng = np.random.default_rng(5)

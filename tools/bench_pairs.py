@@ -26,7 +26,11 @@ written, as `src_lines`):
   --outputs  sha256 of the `pv` round's 44 values (float64 bytes) and of a
              `verify` round's CLI text (UTF-8) at the seed; when the two
              sides' texts differ, their differing lines as a unified diff
-             with no context (`verify_text_diff`), beside the hashes;
+             with no context (`verify_text_diff`), beside the hashes; and
+             between the sides the largest relative change of the `pv`
+             values (`pv_max_rel_change`) and the largest absolute change
+             of a `growth` round's 16 log quasi-norms
+             (`growth_max_abs_change`);
   --tier1    the tier-1 test run (`pytest -q -rA`): its summary line and the
              seconds that acceptance check 6 (growth-dichotomy) reports;
   --traced W the per-layer metrics of one traced round of workload W
@@ -48,6 +52,8 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 METRICS = ("wall_s", "cpu_s", "peak_rss_mib", "setup_s")
@@ -139,11 +145,14 @@ import workloads as W
 seed = int(sys.argv[1])
 pv = np.concatenate(W.pv_run(W.pv_inputs(seed, False), 1)).astype(np.float64)
 text = W.verify_run(W.verify_inputs(seed, False), 1)["text"]
+growth = W.growth_run(W.growth_inputs(seed, False), 1)
 print(json.dumps({
     "pv_values": int(pv.size),
     "pv_values_sha256": hashlib.sha256(pv.tobytes()).hexdigest(),
     "verify_text_sha256": hashlib.sha256(text.encode()).hexdigest(),
     "verify_text": text,
+    "pv": pv.tolist(),
+    "growth": np.concatenate([logs for _, logs in growth.values()]).tolist(),
 }))
 """
 
@@ -197,6 +206,16 @@ def side_extras(
         out["outputs"] = {
             side: json.loads(run_script(roots[side], OUTPUTS, str(seed))) for side in SIDES
         }
+        pv, growth = (
+            [np.array(out["outputs"][side].pop(key), dtype=float) for side in SIDES]
+            for key in ("pv", "growth")
+        )
+        # a pv point whose ladder failed is NaN: 0 when it failed on both
+        # sides, NaN when on one
+        rel = np.abs(pv[1] - pv[0]) / np.abs(pv[0])
+        rel[np.isnan(pv[0]) & np.isnan(pv[1])] = 0.0
+        out["outputs"]["pv_max_rel_change"] = float(np.max(rel))
+        out["outputs"]["growth_max_abs_change"] = float(np.max(np.abs(growth[1] - growth[0])))
         texts = [out["outputs"][side].pop("verify_text") for side in SIDES]
         if texts[0] != texts[1]:
             lines = (text.splitlines() for text in texts)
